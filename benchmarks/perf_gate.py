@@ -16,12 +16,15 @@ at 2x in both directions rather than exact equality, so intentional
 small shifts (say a JIT policy change) update the baseline without
 flapping, while a counter that doubles fails loudly.
 
-The gate runs the workload *twice* against a throwaway persistent
-trace store (-sptracestore): the first (cold) run populates the store,
-the second (warm) run is the one gated.  The warm run must record
-``pin.cache.persistent_hits > 0`` and compile zero pilot-slice traces
-cold — if the persistent tier silently stops engaging, the gate fails
-even though nothing got slower.
+The gate runs the workload once with ``-spwarmcache 0`` (the cold
+reference), then *twice* against a throwaway persistent trace store
+(-sptracestore): the first (cold) run populates the store, the second
+(warm) run is the one gated.  The warm run must record
+``pin.cache.persistent_hits > 0``, lower zero shareable pilot-slice
+traces itself, and lower under 10% of the instructions the cold
+reference (``-spwarmcache 0``, every trace lowered per install) lowers
+(``pin.jit.lowered_ins``) — if the warm tier silently stops saving
+work, the gate fails even though nothing got slower.
 """
 
 import argparse
@@ -60,6 +63,10 @@ SUPPRESS = True
 #: counters.
 TOLERANCE = 2.0
 
+#: The warm run must lower less than this share of the instructions
+#: the -spwarmcache 0 reference lowers.
+WARM_LOWERING_SHARE = 0.10
+
 #: Wall-clock figures taken from the run (seconds, gated upper-bound
 #: only).
 WALLCLOCK_KEYS = (
@@ -86,10 +93,15 @@ REQUIRED_NONZERO = (
 )
 
 
-def _run_once(store_dir, trace_path=None):
-    config = SuperPinConfig(spworkers=WORKERS, spmetrics=True,
-                            spfilter=FILTER, spsuppress=SUPPRESS,
-                            sptracestore=store_dir)
+def _run_once(store_dir, trace_path=None, warmcache=True):
+    config = SuperPinConfig(
+        spworkers=WORKERS,
+        spmetrics=True,
+        spfilter=FILTER,
+        spsuppress=SUPPRESS,
+        sptracestore=store_dir,
+        spwarmcache=warmcache,
+    )
     built = build(WORKLOAD, clock_hz=config.clock_hz, scale=SCALE)
     tool = TOOLS[TOOL]()
     report = run_superpin(built.program, tool, config, kernel=Kernel(seed=42))
@@ -100,7 +112,9 @@ def _run_once(store_dir, trace_path=None):
 
 
 def measure(trace_path=None):
-    """Cold run to populate the trace store, warm run to gate."""
+    """Cold run to populate the trace store, warm run to gate, and the
+    -spwarmcache 0 reference for the lowering proof."""
+    reference = _run_once(None, warmcache=False)
     store_dir = tempfile.mkdtemp(prefix="spgate-store-")
     try:
         cold = _run_once(store_dir)
@@ -121,7 +135,10 @@ def measure(trace_path=None):
         "suppress": SUPPRESS,
         "wallclock": {key: wall[key] for key in WALLCLOCK_KEYS},
         "counters": dict(warm.metrics.counters),
-        "pilot_cold_compiles": pilot.compiles - pilot.warm_starts,
+        "pilot_cold_compiles": pilot.cold_compiles,
+        "reference_lowered_ins": reference.metrics.counters.get(
+            "pin.jit.lowered_ins", 0
+        ),
     }
 
 
@@ -148,6 +165,14 @@ def compare(current, baseline):
         failures.append(
             f"warm run compiled {current['pilot_cold_compiles']} pilot "
             f"traces cold; a persistent-store hit must warm the pilot"
+        )
+    lowered = current["counters"].get("pin.jit.lowered_ins", 0)
+    reference = current.get("reference_lowered_ins", 0)
+    if not reference or lowered >= WARM_LOWERING_SHARE * reference:
+        failures.append(
+            f"warm run lowered {lowered} instructions; must be under "
+            f"{WARM_LOWERING_SHARE:.0%} of the -spwarmcache 0 reference "
+            f"({reference})"
         )
     base_counters = baseline["counters"]
     for name in sorted(set(base_counters) | set(current["counters"])):

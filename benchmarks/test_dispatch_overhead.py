@@ -175,9 +175,9 @@ def test_tier_ablation_tc2_vs_linked(save_figure):
 
 
 def test_warm_cache_rejit_overhead(bench_scale, save_figure):
-    """Cross-slice re-JIT: cold JIT invocations and slice-phase wall
-    clock with the warm cache on vs off (source backend, where a warm
-    start skips CPython ``compile()``)."""
+    """Cross-slice re-JIT: real lowerings and slice-phase wall clock
+    with the warm cache on vs off (source backend, where a warm start
+    skips lowering and CPython ``compile()``)."""
     scale = max(bench_scale, 0.25)
     built = build("gzip", scale=scale)
     rows = []
@@ -195,7 +195,7 @@ def test_warm_cache_rejit_overhead(bench_scale, save_figure):
         results[label] = (report, tool, counters, elapsed)
         rows.append([label,
                      str(counters["pin.cache.compiles"]),
-                     str(counters["pin.jit.compiles"]),
+                     str(counters["pin.jit.lowered_traces"]),
                      str(counters.get("pin.cache.warm_starts", 0)),
                      str(counters.get("pin.cache.linked_dispatches", 0)),
                      f"{elapsed:.3f}"])
@@ -207,15 +207,15 @@ def test_warm_cache_rejit_overhead(bench_scale, save_figure):
     assert warm_report.stdout == cold_report.stdout
     assert warm_counters["pin.cache.compiles"] \
         == cold_counters["pin.cache.compiles"]
-    # The actual savings: fewer cold JIT invocations, nonzero warm
-    # starts, dispatcher traffic replaced by linked dispatches.
+    # The actual savings: fewer real lowerings, nonzero warm starts,
+    # dispatcher traffic replaced by linked dispatches.
     assert warm_counters["pin.cache.warm_starts"] > 0
-    assert warm_counters["pin.jit.compiles"] \
-        < cold_counters["pin.jit.compiles"]
+    assert warm_counters["pin.jit.lowered_traces"] \
+        < cold_counters["pin.jit.lowered_traces"]
     assert warm_counters["pin.cache.linked_dispatches"] > 0
 
     table = format_table(
-        ["mode", "cache compiles", "cold JIT compiles", "warm starts",
+        ["mode", "cache compiles", "lowered traces", "warm starts",
          "linked dispatches", "total (s)"], rows)
     save_figure("dispatch_warm_cache",
                 f"Warm code cache: re-JIT work across slices "

@@ -222,9 +222,6 @@ def _cmd_run(args, extra: list[str]) -> int:
               f"({samp['sampled_slices']} sampled, "
               f"{samp['skipped_slices']} tool-free) — tool report is an "
               f"approximation")
-    if report.total_warm_mismatches:
-        print(f"warm cache: {report.total_warm_mismatches} consistency "
-              f"mismatches (those traces compiled cold)")
     if config.sptc2 > 0 and instr["tc2_promotions"]:
         print(f"tier 2: {instr['tc2_promotions']} superblock promotions, "
               f"{instr['tc2_dispatches']} dispatches, "

@@ -90,6 +90,21 @@ class Memory:
             self.pages_copied += 1
         page[addr & _OFFSET_MASK] = value
 
+    def holds_words(self, addr: int, words: tuple[int, ...]) -> bool:
+        """True when ``words`` sit at ``addr`` (a read-only compare that
+        never faults: an unmapped word in strict mode is a mismatch)."""
+        n = len(words)
+        offset = addr & _OFFSET_MASK
+        if not self.strict and offset + n <= PAGE_WORDS:
+            page = self._pages.get(addr >> PAGE_SHIFT)
+            if page is None:
+                return not any(words)
+            return tuple(page[offset:offset + n]) == words
+        try:
+            return tuple(self.read_block(addr, n)) == words
+        except MemoryFault:
+            return False
+
     # -- bulk access ---------------------------------------------------------
 
     def read_block(self, addr: int, count: int) -> list[int]:

@@ -8,10 +8,12 @@ at insertion time::
                    IARG_REG_VALUE, regs.T0,
                    IARG_END)
 
-The JIT lowers each specifier list into a *resolver* closure that builds
-the positional argument tuple at analysis-call time.  Static specifiers
-(literals, the instruction pointer) are folded into constants, so a call
-using only static arguments costs a single tuple reference per execution.
+The JIT lowers each specifier list into an engine-independent *recipe*
+(:func:`lower_resolver`), and binding turns the recipe into a *resolver*
+closure that builds the positional argument tuple at analysis-call time
+(:func:`bind_resolver`).  Static specifiers (literals, the instruction
+pointer) are folded into constants, so a call using only static
+arguments costs a single tuple reference per execution.
 """
 
 from __future__ import annotations
@@ -102,34 +104,50 @@ def parse_iargs(raw: tuple) -> list[tuple[IArg, object]]:
 
 Resolver = Callable[[], tuple]
 
+#: A lowered spec list (see :func:`lower_resolver`): ``(True, args)``
+#: for a fully static argument tuple, else ``(False, parts)`` where each
+#: part is a small tuple naming one runtime-resolved argument.
+ResolverRecipe = tuple
 
-def build_resolver(specs: list[tuple[IArg, object]], ins, cpu, mem,
-                   taken_target: int | None = None) -> Resolver:
-    """Compile (kind, value) pairs into a zero-argument tuple builder.
+_SCALARS = (int, float, complex, str, bytes, type(None))
 
-    ``ins`` is the :class:`~repro.pin.trace.Ins` being instrumented; the
-    resolver closes over the live ``cpu``/``mem`` of the executing engine.
-    Fully static argument lists fold to a constant tuple.
+
+def is_immutable_value(value) -> bool:
+    """True for an immutable scalar or a (nested) tuple of them — the
+    ``IARG_PTR`` payloads a shared trace template may carry."""
+    if isinstance(value, _SCALARS):
+        return True
+    return type(value) is tuple and all(is_immutable_value(v)
+                                        for v in value)
+
+
+def lower_resolver(specs: list[tuple[IArg, object]], ins,
+                   taken_target: int | None = None) -> ResolverRecipe:
+    """Validate (kind, value) pairs against ``ins`` and lower them.
+
+    The result depends only on the instruction and the specifiers, never
+    on an engine, so it can live in a VM-independent trace template;
+    :func:`bind_resolver` turns it into a zero-argument tuple builder
+    over one engine's registers.  Invalid specifiers raise
+    :class:`InstrumentationError` here, at instrumentation time.
     """
-    parts: list[Callable[[], object]] = []
+    parts: list[tuple] = []
     static: list[object] = []
     all_static = True
-    regs = cpu.regs
 
     for kind, value in specs:
         if kind in (IArg.UINT64, IArg.ADDRINT):
             const = int(value) & MASK64  # type: ignore[arg-type]
-            parts.append(lambda c=const: c)
+            parts.append(("c", const))
             static.append(const)
         elif kind is IArg.PTR:
-            parts.append(lambda v=value: v)
+            parts.append(("c", value))
             static.append(value)
         elif kind is IArg.INST_PTR:
-            parts.append(lambda a=ins.address: a)
+            parts.append(("c", ins.address))
             static.append(ins.address)
         elif kind is IArg.REG_VALUE:
-            regnum = int(value)  # type: ignore[arg-type]
-            parts.append(lambda r=regnum: regs[r])
+            parts.append(("reg", int(value)))  # type: ignore[arg-type]
             all_static = False
         elif kind in (IArg.MEMORYREAD_EA, IArg.MEMORYWRITE_EA):
             if kind is IArg.MEMORYREAD_EA and not ins.is_memory_read:
@@ -138,35 +156,65 @@ def build_resolver(specs: list[tuple[IArg, object]], ins, cpu, mem,
             if kind is IArg.MEMORYWRITE_EA and not ins.is_memory_write:
                 raise InstrumentationError(
                     f"{ins} does not write memory (IARG_MEMORYWRITE_EA)")
-            parts.append(_ea_resolver(ins, regs))
+            parts.append(_ea_part(ins))
             all_static = False
         elif kind is IArg.BRANCH_TAKEN:
             if taken_target is not None:
-                parts.append(lambda: 1)
+                parts.append(("c", 1))
                 static.append(1)
             else:
-                predicate = _taken_predicate(ins, regs)
-                parts.append(lambda p=predicate: 1 if p() else 0)
+                parts.append(_taken_part(ins))
                 all_static = False
         elif kind is IArg.BRANCH_TARGET:
-            parts.append(_target_resolver(ins, regs, taken_target))
+            parts.append(_target_part(ins))
             all_static = False
         elif kind is IArg.SYSCALL_NUMBER:
             if not ins.is_syscall:
                 raise InstrumentationError(
                     f"{ins} is not a syscall (IARG_SYSCALL_NUMBER)")
-            parts.append(lambda: regs[2])  # a0
+            parts.append(("reg", 2))  # a0
             all_static = False
         elif kind is IArg.CONTEXT:
-            parts.append(lambda: cpu)
+            parts.append(("ctx",))
             all_static = False
         else:  # pragma: no cover
             raise InstrumentationError(f"unhandled IARG {kind}")
 
     if all_static:
-        const_tuple = tuple(static)
-        return lambda: const_tuple
+        return (True, tuple(static))
+    return (False, tuple(parts))
+
+
+def bind_resolver(recipe: ResolverRecipe, cpu) -> Resolver:
+    """Bind a lowered spec list to one engine's CPU state.
+
+    Fully static argument lists fold to a constant tuple, so a call
+    using only static arguments costs a single tuple reference per
+    execution.
+    """
+    static, data = recipe
+    if static:
+        return lambda: data
+    regs = cpu.regs
+    parts = [_bind_part(part, regs, cpu) for part in data]
     return lambda: tuple(part() for part in parts)
+
+
+def _bind_part(part: tuple, regs, cpu) -> Callable[[], object]:
+    kind = part[0]
+    if kind == "c":
+        return lambda c=part[1]: c
+    if kind == "reg":
+        return lambda r=part[1]: regs[r]
+    if kind == "ea":
+        base, offset = part[1], part[2]
+        return lambda: (regs[base] + offset) & MASK64
+    if kind == "push":
+        return lambda: (regs[29] - 1) & MASK64
+    if kind == "taken":
+        predicate = _taken_predicate(part[1], part[2], part[3], regs)
+        return lambda: 1 if predicate() else 0
+    return lambda: cpu  # "ctx"
 
 
 #: Specifier kinds whose value is fully known at instrumentation time.
@@ -196,25 +244,30 @@ def try_static_args(specs: list[tuple[IArg, object]], ins) -> tuple | None:
     return tuple(static)
 
 
-def _ea_resolver(ins, regs) -> Callable[[], int]:
+def _ea_part(ins) -> tuple:
     """Effective-address computation for LD/ST/PUSH/POP."""
     from ..isa.instructions import Op
     op = ins.op
     if op in (Op.LD, Op.ST):
-        base, offset = ins.rs, ins.imm
-        return lambda: (regs[base] + offset) & MASK64
+        return ("ea", ins.rs, ins.imm)
     if op is Op.PUSH:
-        return lambda: (regs[29] - 1) & MASK64
+        return ("push",)
     if op is Op.POP:
-        return lambda: regs[29]
+        return ("reg", 29)
     raise InstrumentationError(f"{ins} has no memory operand")
 
 
-def _taken_predicate(ins, regs) -> Callable[[], bool]:
-    """Pre-execution branch-taken predicate for a conditional branch."""
+def _taken_part(ins) -> tuple:
+    """Pre-execution branch-taken predicate for a branch."""
+    if ins.info.is_cond_branch:
+        return ("taken", ins.op, ins.rs, ins.rt)
+    if ins.info.is_uncond:
+        return ("c", 1)
+    raise InstrumentationError(f"{ins} is not a branch (IARG_BRANCH_TAKEN)")
+
+
+def _taken_predicate(op, rs: int, rt: int, regs) -> Callable[[], bool]:
     from ..isa.instructions import Op, to_signed
-    rs, rt = ins.rs, ins.rt
-    op = ins.op
     if op is Op.BEQ:
         return lambda: regs[rs] == regs[rt]
     if op is Op.BNE:
@@ -225,21 +278,14 @@ def _taken_predicate(ins, regs) -> Callable[[], bool]:
         return lambda: to_signed(regs[rs]) >= to_signed(regs[rt])
     if op is Op.BLTU:
         return lambda: regs[rs] < regs[rt]
-    if op is Op.BGEU:
-        return lambda: regs[rs] >= regs[rt]
-    if ins.info.is_uncond:
-        return lambda: True
-    raise InstrumentationError(f"{ins} is not a branch (IARG_BRANCH_TAKEN)")
+    return lambda: regs[rs] >= regs[rt]  # BGEU
 
 
-def _target_resolver(ins, regs, taken_target: int | None
-                     ) -> Callable[[], int]:
-    from ..isa.instructions import Format as F
-    if ins.info.format in (F.I, F.BRANCH):
-        return lambda t=ins.imm: t
-    if ins.info.format is F.R:  # jr / callr
-        reg = ins.rs
-        return lambda: regs[reg]
+def _target_part(ins) -> tuple:
+    if ins.info.format in (Format.I, Format.BRANCH):
+        return ("c", ins.imm)
+    if ins.info.format is Format.R:  # jr / callr
+        return ("reg", ins.rs)
     if ins.info.is_ret:
-        return lambda: regs[31]
+        return ("reg", 31)
     raise InstrumentationError(f"{ins} has no branch target")

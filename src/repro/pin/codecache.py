@@ -38,9 +38,17 @@ class CacheStats:
     #: part of ``lookups``/``hits``: hit_rate stays an honest dispatcher
     #: statistic, and linked dispatches are counted separately.
     linked_dispatches: int = 0
-    #: Traces installed from a cross-slice warm payload rather than
-    #: compiled from guest memory (see repro.superpin.sharedcache).
+    #: Traces bound from a cached template, skipping lowering (see
+    #: repro.pin.template).
     warm_starts: int = 0
+    #: Real lowerings (decode + instrument + plan), slice-private and
+    #: exact-budget step traces included, and their instructions.
+    lowered_traces: int = 0
+    lowered_ins: int = 0
+    #: Lowerings that did not enter a shared template cache: no cache
+    #: attached, an unshareable template (see repro.pin.template) or an
+    #: exact-budget step trace.
+    private_traces: int = 0
     #: Inserts over an address that was already cached: the old trace is
     #: evicted (and unlinked) and its bubble charge refunded, so neither
     #: ``allocated_words`` nor ``compiles`` double-counts.
@@ -195,8 +203,17 @@ class CodeCache:
         self._cursor = self.bubble_base
         self.stats.flushes += 1
 
+    def release(self) -> None:
+        """Unlink and drop every trace without touching any counter
+        (engine teardown; see ``PinVM.close``)."""
+        for trace in self._traces.values():
+            trace.links.clear()
+        self._traces.clear()
+        self._charges.clear()
+        self._tc2 = None
+
     def live_traces(self):
-        """The currently cached traces (for warm-cache export)."""
+        """The currently cached traces."""
         return self._traces.values()
 
     def __len__(self) -> int:

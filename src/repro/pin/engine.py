@@ -95,11 +95,19 @@ class PinVM:
         #: dispatcher only on cold exits.  Architecturally invisible —
         #: differential tests enforce identical results either way.
         self.link_traces = link_traces
-        #: Cross-slice warm-start directory (``WarmStartSet``) consulted
-        #: by the dispatcher miss path, or None.  Entries are lowered
-        #: lazily with *this* engine's instrumentation, so a warm trace
-        #: is architecturally identical to a cold compile.
-        self.warm_traces = None
+        #: Shared :class:`~repro.pin.template.TemplateCache` the JIT
+        #: looks traces up in before lowering, or None (every compile
+        #: lowers).  A template is content-addressed and rebound to this
+        #: engine, so a warm trace is architecturally identical to a
+        #: cold compile.
+        self.templates = None
+        #: The instrumenting tool (set by ``Pintool.activate`` before it
+        #: adds its callback): template entries recorded as its methods
+        #: rebind to this object.
+        self.tool = None
+        #: Cached :attr:`template_shape` (False: not computed since the
+        #: last ``add_trace_callback``).
+        self._shape: tuple | None | bool = False
         #: Redundancy suppression (repro.pin.suppress): legal back-edge
         #: loops compile with their invariant instrumentation summarized
         #: to one call per loop exit.
@@ -127,10 +135,10 @@ class PinVM:
         #: with the cache whenever instrumentation changes.
         self._step_cache: dict[int, CompiledTrace] = {}
         self._step_jit: Jit | None = None
-        #: (callback, value, filter) triples called for every newly
-        #: compiled trace; ``filter`` is an InstrumentFilter or None
-        #: (always instrument).
-        self.trace_callbacks: list[tuple[object, object, object]] = []
+        #: (callback, value, filter, boundary_only) tuples called for
+        #: every newly lowered trace; ``filter`` is an InstrumentFilter
+        #: or None (always instrument).
+        self.trace_callbacks: list[tuple[object, object, object, bool]] = []
         #: Called with each SyscallOutcome right after a syscall executes.
         self.syscall_observers: list[object] = []
         #: [analysis_calls, inline_checks] — mutated by compiled steps.
@@ -144,17 +152,25 @@ class PinVM:
     # -- instrumentation registration ---------------------------------------
 
     def add_trace_callback(self, callback, value: object = None,
-                           trace_filter=None) -> None:
+                           trace_filter=None,
+                           boundary_only: bool = False) -> None:
         """Register ``callback(trace, value)`` (TRACE_AddInstrumentFunction).
 
         ``trace_filter`` optionally restricts the callback to traces
         containing at least one matching instruction (an
         :class:`~repro.pin.filter.InstrumentFilter`); non-matching
         traces skip this callback and compile as uninstrumented
-        fast-path traces.  Adding a callback invalidates previously
-        compiled code, exactly as late instrumentation does in Pin.
+        fast-path traces.  ``boundary_only`` declares that the callback
+        instruments nothing but instructions at this engine's forced
+        boundaries (SuperPin's signature detector): it then stays out
+        of :attr:`template_shape`, because the template cache already
+        refuses templates whose span holds a forced boundary.  Adding a
+        callback invalidates previously compiled code, exactly as late
+        instrumentation does in Pin.
         """
-        self.trace_callbacks.append((callback, value, trace_filter))
+        self.trace_callbacks.append((callback, value, trace_filter,
+                                     boundary_only))
+        self._shape = False
         self._step_cache.clear()
         if len(self.cache) or (self.tc2 is not None and len(self.tc2)):
             # Flushing tier 1 cascades into TC2 (CodeCache.attach_tc2),
@@ -165,14 +181,62 @@ class PinVM:
         """Register ``observer(outcome)`` called after every syscall."""
         self.syscall_observers.append(observer)
 
-    def install_warm(self, warm) -> None:
-        """Attach a warm-start directory (see superpin.sharedcache).
+    @property
+    def template_shape(self) -> tuple | None:
+        """What, besides the code words, decides this engine's lowering.
 
-        Installation is lazy: nothing compiles until the dispatcher
-        actually misses on a warm address, so cache statistics, compile
-        order and bubble accounting stay identical to a cold run.
+        Two engines with equal shapes lower the same guest code into the
+        same template: the backend, suppression, trace cap, memory
+        strictness, the instrumenting tool's class, and each trace
+        callback as (owner class, function, filter).  None when a
+        callback is not a bound method (a closure may capture anything),
+        takes a value other than the engine, or has an unhashable filter
+        — such an engine never shares templates.
         """
-        self.warm_traces = warm
+        if self._shape is False:
+            self._shape = self._compute_shape()
+        return self._shape
+
+    def _compute_shape(self) -> tuple | None:
+        keys = []
+        for callback, value, trace_filter, boundary_only \
+                in self.trace_callbacks:
+            if boundary_only:
+                continue
+            owner = getattr(callback, "__self__", None)
+            func = getattr(callback, "__func__", None)
+            if (owner is None or func is None
+                    or (value is not None and value is not self)):
+                return None
+            keys.append((type(owner), func, value is self, trace_filter))
+        shape = (self.jit_backend, self.suppress_loops, self.max_trace_ins,
+                 self.mem.strict, type(self.tool), tuple(keys))
+        try:
+            hash(shape)
+        except TypeError:  # an unhashable filter cannot key a cache
+            return None
+        return shape
+
+    def close(self) -> None:
+        """Break every reference cycle through this engine.
+
+        Compiled closures, trace links, TC2 runners and instrumentation
+        callbacks all point back at the engine, so without this an
+        engine (and its slice's whole object graph) could only be freed
+        by the cyclic collector.  Drops the cached traces and
+        superblocks, the callbacks, the step cache and the JIT without
+        touching any counter; the engine must not run afterwards.
+        """
+        self.cache.release()
+        if self.tc2 is not None:
+            self.tc2.release()
+            self.tc2 = None
+        self.trace_callbacks = []
+        self.syscall_observers = []
+        self._step_cache = {}
+        self._step_jit = None
+        self.jit = None
+        self.templates = None
 
     # -- syscall plumbing ----------------------------------------------------
 
@@ -271,17 +335,11 @@ class PinVM:
                 if trace is None:
                     trace = cache.lookup(pc)
                 if trace is None:
-                    warm = self.warm_traces
-                    trace = warm.build(pc, jit) if warm is not None \
-                        else None
-                    if trace is not None:
-                        cache.stats.warm_starts += 1
-                    else:
-                        trace = jit.compile(pc)
-                        if self.metrics.enabled:
-                            self.metrics.inc("pin.jit.compiles")
-                            self.metrics.observe("pin.jit.trace_ins",
-                                                 trace.num_ins)
+                    trace = jit.compile(pc)
+                    if self.metrics.enabled:
+                        self.metrics.inc("pin.jit.compiles")
+                        self.metrics.observe("pin.jit.trace_ins",
+                                             trace.num_ins)
                     cache.insert(pc, trace, trace.num_ins)
                     if tc2 is not None:
                         tc2.note_insert(trace)

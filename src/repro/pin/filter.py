@@ -195,23 +195,23 @@ def _trace_has_calls(trace_obj) -> bool:
     return False
 
 
-def run_trace_callbacks(engine, trace_obj) -> None:
+def run_trace_callbacks(engine, trace_obj) -> tuple[int, int]:
     """Invoke the engine's trace callbacks, honouring per-callback filters.
 
     Shared by both JIT backends.  A callback registered with a filter is
     skipped when the trace contains no matching instruction; if every
-    skipped trace ends up with zero attached calls it is counted as a
-    fast-path trace.
+    skipped trace ends up with zero attached calls it is a fast-path
+    trace.  Returns ``(skipped_callbacks, fastpath_traces)`` for the
+    lowering's template, which applies them to the engine's
+    :class:`InstrumentationStats` at every bind.
     """
     skipped = 0
-    for callback, value, trace_filter in engine.trace_callbacks:
+    for callback, value, trace_filter, _boundary in engine.trace_callbacks:
         if (trace_filter is not None
                 and not trace_filter.matches_trace(trace_obj)):
             skipped += 1
             continue
         callback(trace_obj, value)
-    if skipped:
-        stats = engine.instr_stats
-        stats.skipped_callbacks += skipped
-        if not _trace_has_calls(trace_obj):
-            stats.fastpath_traces += 1
+    if skipped and not _trace_has_calls(trace_obj):
+        return skipped, 1
+    return skipped, 0

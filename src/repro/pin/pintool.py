@@ -10,7 +10,18 @@ analysis state.  The lifecycle mirrors a real Pintool's ``main``:
    a null implementation otherwise, so the *same tool source* runs in
    both modes just like the paper's tools do.
 2. :meth:`Pintool.instrument_trace` is registered as a trace callback and
-   attaches analysis calls.
+   attaches analysis calls.  It must be a *deterministic function of the
+   trace and the tool's configuration* — Pin's own contract: translated
+   code may be reused without re-instrumenting.  Here a lowered trace
+   becomes a template (:mod:`repro.pin.template`) that later slices bind
+   to their own tool copy instead of calling ``instrument_trace`` again,
+   so instrumentation must not record per-call state on the tool or
+   depend on anything but the trace and the tool's settings.  The
+   persistent trace store keeps templates across runs, keyed by the
+   tool's module source and its instance state before ``setup``
+   (:func:`~repro.superpin.trace_store.tool_fingerprint`), so settings
+   that shape instrumentation belong in plain attributes set by
+   ``__init__``.
 3. :meth:`Pintool.fini` runs after the program (and, under SuperPin, all
    slices) complete.
 
@@ -74,7 +85,14 @@ class Pintool:
         """One-time initialization; ``sp`` is the SuperPin API handle."""
 
     def instrument_trace(self, trace, vm: PinVM) -> None:
-        """Attach analysis calls to a freshly built trace."""
+        """Attach analysis calls to a freshly built trace.
+
+        Deterministic in the trace and the tool's configuration (see the
+        module docstring).  Analysis routines that are bound methods of
+        this tool, with immutable ``IARG_PTR`` payloads, let the lowered
+        trace be shared across slices; anything else (closures, other
+        objects' methods) keeps it private to one slice.
+        """
         raise NotImplementedError
 
     def fini(self) -> None:
@@ -84,9 +102,12 @@ class Pintool:
 
     def activate(self, vm: PinVM) -> None:
         """Register this tool's instrumentation on ``vm``."""
-        vm.add_trace_callback(
-            lambda trace, value, _vm=vm: self.instrument_trace(trace, _vm),
-            trace_filter=self.instrument_filter)
+        vm.tool = self
+        vm.add_trace_callback(self._on_trace, vm,
+                              trace_filter=self.instrument_filter)
+
+    def _on_trace(self, trace, vm: PinVM) -> None:
+        self.instrument_trace(trace, vm)
 
     def report(self) -> dict:
         """Machine-readable results; tools override for their own schema."""

@@ -3,10 +3,12 @@
 The default backend (:mod:`repro.pin.jit`) lowers each instruction to a
 closure — classic threaded code.  This backend goes one step further and
 *generates Python source* for the whole trace, compiles it with
-``compile``/``exec``, and runs straight-line generated code with no
-per-instruction dispatch.  It is the moral equivalent of Pin's
-code-cache emission: the trace becomes one callable, branches become
-early returns, and instrumentation is spliced between statements.
+``compile`` once per trace template, binds the code object to each
+engine with ``FunctionType`` (see :mod:`repro.pin.template`), and runs
+straight-line generated code with no per-instruction dispatch.  It is
+the moral equivalent of Pin's code-cache emission: the trace becomes one
+callable, branches become early returns, and instrumentation is spliced
+between statements.
 
 Contract (shared with the closure backend, enforced by differential
 tests in ``tests/test_pin/test_pyjit.py``):
@@ -24,16 +26,17 @@ Select it with ``PinVM(..., jit_backend="source")`` or
 
 from __future__ import annotations
 
-import marshal
+import builtins
 import types
 
 from ..errors import ArithmeticFault
 from ..isa.instructions import MASK64, Op
-from .args import build_resolver
-from .filter import run_trace_callbacks
-from .jit import EXIT_GUEST, StopRun
+from .args import bind_resolver
+from .jit import (apply_stats, decode_and_instrument, EXIT_GUEST,
+                  finish_template, lookup_or_lower, lower_calls)
 from .suppress import LOOP_TRIP_CAP, LoopPlan, plan_suppression
-from .trace import build_trace, Ins
+from .template import bind_fn, Recorder, SourceBody, TraceTemplate
+from .trace import Ins
 
 
 class SourceCompiledTrace:
@@ -77,16 +80,23 @@ class SourceJit:
 
     def __init__(self, engine):
         self._engine = engine
+        self._namespace: dict[str, object] | None = None
 
-    def _lower(self, address: int):
-        """Build, instrument and emit one trace; no compile() yet."""
+    def compile(self, address: int) -> SourceCompiledTrace:
+        """The trace at ``address``: a cached template bound to this
+        engine, or a fresh lowering bound the same way."""
+        return self.compile_warm(lookup_or_lower(self, address))
+
+    def lower(self, address: int) -> TraceTemplate:
+        """Build, instrument and emit one trace, then ``compile()`` it.
+
+        The template keeps the generated function's code object; the
+        (dominant) ``compile()`` cost is paid once per template.
+        """
         engine = self._engine
-        trace_obj = build_trace(engine.mem, address,
-                                forced_boundaries=engine.forced_boundaries,
-                                max_ins=engine.max_trace_ins)
-        run_trace_callbacks(engine, trace_obj)
-
-        emitter = _Emitter(engine)
+        trace_obj, rec, prefix = decode_and_instrument(engine, address,
+                                                       None)
+        emitter = _Emitter(engine.mem.strict, rec)
         plan = plan_suppression(engine, trace_obj)
         if plan is not None:
             emitter.emit_suppressed_loop(plan)
@@ -94,64 +104,66 @@ class SourceJit:
             for index, ins in enumerate(trace_obj.instructions):
                 emitter.lower(index, ins)
             emitter.line(f"return (None, {len(trace_obj.instructions)})")
-        return trace_obj, emitter
+        source = emitter.source_text(address)
+        module = compile(source, f"<superpin-trace-{address:#x}>", "exec")
+        code = next(const for const in module.co_consts
+                    if isinstance(const, types.CodeType))
+        body = SourceBody(code, tuple(emitter.recipe), source,
+                          emitter.suppressed)
+        return finish_template(engine, trace_obj, rec, prefix, body,
+                               1 if emitter.suppressed else 0)
 
-    def _build(self, address: int, trace_obj, emitter,
-               code=None) -> SourceCompiledTrace:
-        if emitter.suppressed:
-            # Counted at build (not lower) time so a warm-path
-            # consistency mismatch that re-lowers cold counts once.
-            self._engine.instr_stats.summarized_loops += 1
-        if code is None:
-            source, namespace = emitter.finish(address)
-            fn = namespace["__trace__"]
-        else:
-            # Warm path: ``code`` is the function's own (marshalled)
-            # code object; rebinding it over this emitter's namespace
-            # skips compile() entirely.
-            source = emitter.source_text(address)
-            fn = types.FunctionType(code, emitter.namespace, "__trace__")
+    def compile_warm(self, template: TraceTemplate) -> SourceCompiledTrace:
+        """Bind ``template`` to this engine: ``FunctionType(code,
+        namespace)`` over a namespace built from the template's recipe
+        — no ``compile()``."""
+        engine = self._engine
+        apply_stats(engine, template)
+        body = template.body
+        namespace = dict(self._base_namespace())
+        tool, cpu = engine.tool, engine.cpu
+        for name, kind, data in body.recipe:
+            if kind == "fn":
+                namespace[name] = bind_fn(data, tool)
+            elif kind == "res":
+                namespace[name] = bind_resolver(data, cpu)
+            else:
+                namespace[name] = data
         return SourceCompiledTrace(
-            start=address, fn=fn,
-            num_ins=len(trace_obj.instructions),
-            fall_address=trace_obj.fall_address, source=source,
-            bbl_sizes=[bbl.num_ins for bbl in trace_obj.bbls],
-            unbounded=emitter.suppressed)
+            start=template.start,
+            fn=types.FunctionType(body.code, namespace, "__trace__"),
+            num_ins=template.num_ins,
+            fall_address=template.fall_address, source=body.source,
+            bbl_sizes=template.bbl_sizes, unbounded=body.suppressed)
 
-    def compile(self, address: int) -> SourceCompiledTrace:
-        trace_obj, emitter = self._lower(address)
-        return self._build(address, trace_obj, emitter)
-
-    def compile_warm(self, address: int, source: str,
-                     code_bytes: bytes) -> SourceCompiledTrace | None:
-        """Install a trace from a warm-cache entry, or None on mismatch.
-
-        Lowering and instrumentation still run locally (the analysis
-        resolvers must bind *this* slice's tool closures), and the
-        regenerated source text is compared against the warm entry —
-        that string comparison is the §8 "consistency check".  On a
-        match the marshalled code object is exec'd directly, skipping
-        ``compile()`` — the dominant cost of a cold source-backend
-        compile.  A mismatch (different instrumentation, different
-        guest bytes) falls back to a cold compile at the caller.
-        """
-        trace_obj, emitter = self._lower(address)
-        if emitter.source_text(address) != source:
-            return None
-        return self._build(address, trace_obj, emitter,
-                           code=marshal.loads(code_bytes))
-
-    @staticmethod
-    def export_code(trace: SourceCompiledTrace) -> bytes:
-        """Marshal a compiled trace's code object for the warm payload."""
-        return marshal.dumps(trace.fn.__code__)
+    def _base_namespace(self) -> dict[str, object]:
+        """The engine-wide names every generated trace reads."""
+        if self._namespace is None:
+            engine = self._engine
+            self._namespace = {
+                "__builtins__": builtins,
+                "E": engine,
+                "cpu": engine.cpu,
+                "regs": engine.cpu.regs,
+                "RD": engine.mem.read,
+                "WR": engine.mem.write,
+                "ctr": engine.counters,
+                "_sup": engine.instr_stats,
+                "M": MASK64,
+                "SGN": 1 << 63,
+                "W": 1 << 64,
+                "EXIT": EXIT_GUEST,
+                "ArithmeticFault": ArithmeticFault,
+            }
+        return self._namespace
 
 
 class _Emitter:
-    """Builds the source text and the exec namespace for one trace."""
+    """Builds the source text and the namespace recipe for one trace."""
 
-    def __init__(self, engine):
-        self._engine = engine
+    def __init__(self, strict_memory: bool, rec: Recorder):
+        self._strict = strict_memory
+        self._rec = rec
         self._lines: list[str] = []
         self._indent = 1
         #: True once a summarized loop has been emitted for this trace.
@@ -161,28 +173,17 @@ class _Emitter:
         #: post-loop suffix of a summarized trace counts retired
         #: instructions relative to ``_base``).
         self._count_base: str | None = None
-        self.namespace: dict[str, object] = {
-            "E": engine,
-            "cpu": engine.cpu,
-            "regs": engine.cpu.regs,
-            "RD": engine.mem.read,
-            "WR": engine.mem.write,
-            "ctr": engine.counters,
-            "M": MASK64,
-            "SGN": 1 << 63,
-            "W": 1 << 64,
-            "EXIT": EXIT_GUEST,
-            "ArithmeticFault": ArithmeticFault,
-        }
+        #: ``(name, kind, data)`` namespace entries (see SourceBody).
+        self.recipe: list[tuple[str, str, object]] = []
 
     # -- low-level text helpers ----------------------------------------------
 
     def line(self, text: str) -> None:
         self._lines.append("    " * self._indent + text)
 
-    def _bind(self, stem: str, value) -> str:
+    def _bind(self, stem: str, kind: str, data) -> str:
         name = f"_{stem}"
-        self.namespace[name] = value
+        self.recipe.append((name, kind, data))
         return name
 
     def _count(self, n: int) -> str:
@@ -193,63 +194,58 @@ class _Emitter:
 
     # -- instrumentation ------------------------------------------------------
 
-    def _emit_calls(self, index: int, ins: Ins) -> tuple[str, str]:
+    def _emit_calls(self, index: int, ins: Ins) -> tuple[list, list]:
         """Emit if/then and before calls; return (taken_code, after_code).
 
         Taken/after calls are returned as statement strings for the
         semantics emitter to splice at the right control point.
         """
-        engine = self._engine
-        cpu, mem = engine.cpu, engine.mem
-        has_calls = (ins.before_calls or ins.if_then or ins.taken_calls
-                     or ins.after_calls)
+        calls = lower_calls(ins, self._rec)
         # Strict memory mode can fault on any access, so every memory
         # instruction needs exact unwind markers there.
         may_fault = (ins.op in (Op.DIV, Op.MOD)
-                     or (mem.strict and (ins.is_memory_read
-                                         or ins.is_memory_write)))
-        if has_calls or may_fault:
+                     or (self._strict and (ins.is_memory_read
+                                           or ins.is_memory_write)))
+        if calls is not None or may_fault:
             # Progress markers so StopRun/faults unwind exactly.
             self.line(f"E._stop_pc = {ins.address}")
             self.line(f"E._stop_count = {self._count(index)}")
+        if calls is None:
+            return [], []
+        if_then, before, after, taken = calls
 
-        for j, (if_call, then_call) in enumerate(ins.if_then):
-            if_fn = self._bind(f"if{index}_{j}", if_call.fn)
-            if_res = self._bind(f"ir{index}_{j}", build_resolver(
-                if_call.specs, ins, cpu, mem))
-            then_fn = self._bind(f"th{index}_{j}", then_call.fn)
-            then_res = self._bind(f"tr{index}_{j}", build_resolver(
-                then_call.specs, ins, cpu, mem))
+        for j, (if_fn, if_args, then_fn, then_args) in enumerate(if_then):
+            if_name = self._bind(f"if{index}_{j}", "fn", if_fn)
+            if_res = self._bind(f"ir{index}_{j}", "res", if_args)
+            then_name = self._bind(f"th{index}_{j}", "fn", then_fn)
+            then_res = self._bind(f"tr{index}_{j}", "res", then_args)
             self.line("ctr[1] += 1")
-            self.line(f"if {if_fn}(*{if_res}()):")
+            self.line(f"if {if_name}(*{if_res}()):")
             self.line("    ctr[0] += 1")
-            self.line(f"    {then_fn}(*{then_res}())")
+            self.line(f"    {then_name}(*{then_res}())")
 
-        if ins.before_calls:
-            self.line(f"ctr[0] += {len(ins.before_calls)}")
-            for j, call in enumerate(ins.before_calls):
-                fn = self._bind(f"bf{index}_{j}", call.fn)
-                res = self._bind(f"br{index}_{j}", build_resolver(
-                    call.specs, ins, cpu, mem))
-                self.line(f"{fn}(*{res}())")
+        if before:
+            self.line(f"ctr[0] += {len(before)}")
+            for j, (fn, args) in enumerate(before):
+                name = self._bind(f"bf{index}_{j}", "fn", fn)
+                res = self._bind(f"br{index}_{j}", "res", args)
+                self.line(f"{name}(*{res}())")
 
         taken_stmts = []
-        if ins.taken_calls:
-            taken_stmts.append(f"ctr[0] += {len(ins.taken_calls)}")
-            for j, call in enumerate(ins.taken_calls):
-                fn = self._bind(f"tk{index}_{j}", call.fn)
-                res = self._bind(f"tkr{index}_{j}", build_resolver(
-                    call.specs, ins, cpu, mem, taken_target=0))
-                taken_stmts.append(f"{fn}(*{res}())")
+        if taken:
+            taken_stmts.append(f"ctr[0] += {len(taken)}")
+            for j, (fn, args) in enumerate(taken):
+                name = self._bind(f"tk{index}_{j}", "fn", fn)
+                res = self._bind(f"tkr{index}_{j}", "res", args)
+                taken_stmts.append(f"{name}(*{res}())")
 
         after_stmts = []
-        if ins.after_calls:
-            after_stmts.append(f"ctr[0] += {len(ins.after_calls)}")
-            for j, call in enumerate(ins.after_calls):
-                fn = self._bind(f"af{index}_{j}", call.fn)
-                res = self._bind(f"ar{index}_{j}", build_resolver(
-                    call.specs, ins, cpu, mem))
-                after_stmts.append(f"{fn}(*{res}())")
+        if after:
+            after_stmts.append(f"ctr[0] += {len(after)}")
+            for j, (fn, args) in enumerate(after):
+                name = self._bind(f"af{index}_{j}", "fn", fn)
+                res = self._bind(f"ar{index}_{j}", "res", args)
+                after_stmts.append(f"{name}(*{res}())")
         return taken_stmts, after_stmts
 
     # -- per-instruction lowering ---------------------------------------------
@@ -275,11 +271,13 @@ class _Emitter:
         start = plan.start
         m = plan.body_len
         n_calls = len(plan.summaries)
-        sup = self._bind("sup", self._engine.instr_stats)
+        sup = "_sup"
         bound = []
+        rec = self._rec
         for j, (summary, args) in enumerate(plan.summaries):
-            bound.append((self._bind(f"sf{j}", summary),
-                          self._bind(f"sa{j}", args)))
+            rec.value(args)
+            bound.append((self._bind(f"sf{j}", "fn", rec.fn(summary)),
+                          self._bind(f"sa{j}", "val", args)))
 
         def fire(iters: str, trips: str) -> None:
             self.line(f"ctr[0] += {n_calls}")
@@ -503,15 +501,7 @@ class _Emitter:
     # -- finalization ---------------------------------------------------------
 
     def source_text(self, address: int) -> str:
-        """The trace's full source.  Deterministic for a given trace
-        shape + instrumentation, so two slices lowering the same trace
-        produce byte-identical text — the warm-cache consistency key.
-        """
+        """The trace's full source: deterministic for a given trace
+        shape + instrumentation."""
         header = f"def __trace__():  # trace @ {address:#x}\n"
         return header + "\n".join(self._lines) + "\n"
-
-    def finish(self, address: int) -> tuple[str, dict]:
-        source = self.source_text(address)
-        code = compile(source, f"<superpin-trace-{address:#x}>", "exec")
-        exec(code, self.namespace)  # noqa: S102 - this *is* the JIT
-        return source, self.namespace

@@ -465,6 +465,17 @@ class TranslationCache2:
         self._charges.clear()
         self._allocated = 0
 
+    def release(self) -> None:
+        """Unlink and drop every superblock without touching any counter
+        (engine teardown; see ``PinVM.close``)."""
+        for block in self._blocks.values():
+            block.links.clear()
+        self._blocks.clear()
+        self._by_segment.clear()
+        self._charges.clear()
+        self._engine = None
+        self._cache = None
+
     # -- introspection -----------------------------------------------------
 
     @property

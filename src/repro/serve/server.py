@@ -456,7 +456,7 @@ def job_result(report, tool) -> dict:
     pilot_cold = 0
     if report.slices:
         pilot = report.slices[0]
-        pilot_cold = pilot.compiles - pilot.warm_starts
+        pilot_cold = pilot.cold_compiles
     counters = dict(report.metrics.counters) if report.metrics else {}
     return {
         "exit_code": report.exit_code,

@@ -44,8 +44,8 @@ from .switches import (DEFAULT_CLOCK_HZ, FAULT_POLICIES, parse_switches,
 from .sysrecord import PlaybackHandler, RecordedSyscall
 from .timetravel import DebugSession, StopEvent, TimeTravelEngine
 from .trace_store import (damage_store_chains, damage_store_entry,
-                          isa_fingerprint, store_key, trace_store_for,
-                          TraceStore)
+                          isa_fingerprint, store_key, tool_fingerprint,
+                          trace_store_for, TraceStore)
 
 __all__ = [
     "END_SLICE_TOKEN", "SliceToolContext", "SPControl", "AuditInputs",
@@ -69,6 +69,6 @@ __all__ = [
     "load_recording", "Recording", "save_recording", "replay_recording",
     "reference_from_recording", "damage_store_chains",
     "damage_store_entry", "isa_fingerprint",
-    "store_key", "trace_store_for", "TraceStore",
+    "store_key", "tool_fingerprint", "trace_store_for", "TraceStore",
     "DebugSession", "StopEvent", "TimeTravelEngine",
 ]

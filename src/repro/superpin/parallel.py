@@ -62,9 +62,11 @@ from ..machine.cpu import CpuState
 from ..machine.process import Process
 from ..obs.metrics import metrics_for, NULL_METRICS
 from ..obs.tracer import ensure_tracer, NULL_TRACER, TrackAllocator
+from ..pin.template import TemplateCache
 from .api import SliceToolContext, SPControl
 from .control import Boundary, MasterTimeline
 from .journal import frame_blob, unframe_blob
+from .sharedcache import TemplateStore
 from .sharedmem import resolve_shared_areas
 from .signature import (DEFAULT_QUICK_REGS, record_signature,
                         select_quick_registers, Signature)
@@ -201,9 +203,10 @@ def _slice_payload(timeline: MasterTimeline, signatures: list[Signature],
                    warm=None, export_warm: bool = False) -> bytes:
     """Pickle one slice's full worker payload (traced as slice.pickle).
 
-    ``warm`` is the frozen warm-cache payload shipped to the slice;
-    ``export_warm`` marks the pilot, which returns its compiled traces
-    for the control process to fold.
+    ``warm`` is the frozen warm payload (``TemplatePayload``) shipped to
+    the slice; ``export_warm`` asks the slice to return the shareable
+    templates it lowered — the pilot's freeze into the payload, and with
+    a persistent trace store every slice's are kept.
     """
     with tracer.span("slice.pickle", cat="slice", args={"slice": k}):
         return pickle.dumps(
@@ -285,9 +288,11 @@ def execute_slices(timeline: MasterTimeline, signatures: list[Signature],
     ``prewarm`` is a warm payload loaded from the persistent trace
     store: with it, *every* slice (the pilot included) starts warm and
     the pilot export protocol is skipped entirely.  ``warm_store`` is
-    the :class:`~repro.superpin.sharedcache.WarmTraceStore` the pilot's
-    exports fold into on the cold path, so the caller can persist the
-    frozen payload afterwards.  ``on_progress``, when given, is called
+    the :class:`~repro.superpin.sharedcache.TemplateStore` the pilot's
+    exports fold into on the cold path; with it every slice exports its
+    shareable templates too (worker slices on their results, sequential
+    slices through the live cache), so the caller can persist them all
+    afterwards.  ``on_progress``, when given, is called
     in the parent as ``on_progress("slice", {"completed": n,
     "total": n_slices})`` after each slice result lands — the streaming
     hook the serve daemon forwards to its clients.
@@ -321,17 +326,22 @@ def _execute_sequential(timeline: MasterTimeline,
                         ) -> list[SliceResult]:
     """In-process execution (``-spworkers 0``): no pickling, no pool.
 
-    Warm cache: slice 0 is the pilot; its exports freeze the payload
-    every later slice installs — the same pilot-then-rest protocol the
-    parallel executor uses, so results match for any worker count.
-    With ``prewarm`` (a persistent-store hit) there is no pilot: every
-    slice installs the stored payload directly.
+    Warm cache: every slice reads and extends one live template cache,
+    so each trace lowers once per run.  Slice 0 is still the pilot: its
+    exports (the persistent store's payload) and its TC2 chains freeze
+    the payload every later slice installs its promotion profile from —
+    the same pilot-then-rest protocol the parallel executor uses, so
+    results match for any worker count.  With ``prewarm`` (a
+    persistent-store hit) there is no pilot: the stored templates seed
+    the cache and every slice installs the stored chains.
     """
-    from .sharedcache import WarmTraceStore
     n_slices = len(timeline.intervals)
     warmcache = config.spwarmcache
     pilot = warmcache and prewarm is None and n_slices > 1
     warm = prewarm if warmcache else None
+    templates = None
+    if warmcache:
+        templates = TemplateCache(prewarm.templates if prewarm else ())
     results: list[SliceResult] = []
     for k, interval in enumerate(timeline.intervals):
         with tracer.span("slice", cat="slice", args={"slice": k}):
@@ -341,12 +351,15 @@ def _execute_sequential(timeline: MasterTimeline,
                                          _end_signature(signatures, k),
                                          template, sp, config,
                                          metrics=metrics, warm=warm,
-                                         export_warm=pilot and k == 0))
+                                         export_warm=pilot and k == 0,
+                                         trace_templates=templates))
         if pilot and k == 0:
             store = warm_store if warm_store is not None \
-                else WarmTraceStore()
+                else TemplateStore()
             warm = store.fold_pilot(results[0])
         _notify(on_progress, len(results), n_slices)
+    if warm_store is not None and templates is not None:
+        warm_store.collect(templates.templates())
     return results
 
 
@@ -370,7 +383,6 @@ def _execute_parallel(timeline: MasterTimeline,
     ``prewarm`` (a persistent-store hit) the pilot barrier disappears:
     every slice is submitted at once, all of them warm.
     """
-    from .sharedcache import WarmTraceStore
     n_slices = len(timeline.intervals)
     workers = min(config.spworkers, n_slices) or 1
     warmcache = config.spwarmcache
@@ -402,13 +414,14 @@ def _execute_parallel(timeline: MasterTimeline,
                                      config, 0, tracer, export_warm=True)
             blob = pool.submit(_worker_run_slice, payload).result()
             store = warm_store if warm_store is not None \
-                else WarmTraceStore()
+                else TemplateStore()
             warm = store.fold_pilot(collect(0, blob))
             first = 1
         futures = {}
         for k in range(first, n_slices):
             payload = _slice_payload(timeline, signatures, template, sp,
-                                     config, k, tracer, warm=warm)
+                                     config, k, tracer, warm=warm,
+                                     export_warm=warm_store is not None)
             futures[pool.submit(_worker_run_slice, payload)] = k
         pending = set(futures)
         while pending:

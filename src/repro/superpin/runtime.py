@@ -59,7 +59,7 @@ from .signature import Signature
 from .slices import SliceResult
 from .supervisor import SliceOutcome, supervise_slices
 from .switches import SuperPinConfig
-from .trace_store import store_key, trace_store_for
+from .trace_store import store_key, tool_fingerprint, trace_store_for
 
 
 @dataclass
@@ -155,16 +155,6 @@ class SuperPinReport:
             "full_check_rate": (full / quick) if quick else 0.0,
         }
 
-    @property
-    def total_warm_mismatches(self) -> int:
-        """Warm-cache entries whose consistency check failed, run-wide.
-
-        A systematically nonzero value means the pilot's instrumentation
-        no longer matches the slices' (e.g. sampling skipped the tool on
-        some slices) and those slices compiled cold.
-        """
-        return sum(s.warm_mismatches for s in self.slices)
-
     def instrumentation_summary(self) -> dict[str, int]:
         """Selective-instrumentation and suppression totals (-spfilter /
         -spsuppress / -spsample) aggregated across slices."""
@@ -177,7 +167,8 @@ class SuperPinReport:
                                     for s in self.slices),
             "suppressed_calls": sum(s.suppressed_calls
                                     for s in self.slices),
-            "warm_mismatches": self.total_warm_mismatches,
+            "lowered_traces": sum(s.lowered_traces for s in self.slices),
+            "private_traces": sum(s.private_traces for s in self.slices),
             "tc2_promotions": sum(s.tc2_promotions for s in self.slices),
             "tc2_dispatches": sum(s.tc2_dispatches for s in self.slices),
             "tc2_mispredicts": sum(s.tc2_mispredicts
@@ -336,6 +327,11 @@ def run_superpin(program: Program, tool: Pintool,
             serial_kernel=copy.deepcopy(kernel),
         )
 
+    # The persistent trace store keys entries by the tool's settings,
+    # read before setup registers run state on the tool.
+    tool_digest = (tool_fingerprint(tool)
+                   if config.sptracestore is not None else None)
+
     # 1. Tool setup through the SP API.
     sp = SPControl(config)
     tool.setup(sp)
@@ -385,7 +381,7 @@ def run_superpin(program: Program, tool: Pintool,
     #     run compiles zero pilot traces cold; a miss runs the normal
     #     pilot protocol and persists its frozen exports afterwards.
     prewarm, warm_store, save_warm = _trace_store_lookup(
-        config, metrics, program_digest(program))
+        config, metrics, program_digest(program), tool_digest)
 
     # 4. Slice phase: sequential in-process, or fanned out (-spworkers),
     #    under the -spfaults supervision policy.
@@ -402,7 +398,7 @@ def run_superpin(program: Program, tool: Pintool,
         finally:
             if journal is not None:
                 journal.close()
-    save_warm()
+    save_warm(supervised.results)
     _apply_artifact_faults(config, len(timeline.intervals))
     results, timings = supervised.results, supervised.timings
     degraded = supervised.degraded
@@ -461,29 +457,41 @@ def run_superpin(program: Program, tool: Pintool,
 
 
 def _trace_store_lookup(config: SuperPinConfig, metrics,
-                        source_digest: str):
+                        source_digest: str, tool_digest: str | None):
     """Resolve the persistent trace store for one run.
+
+    ``tool_digest`` is the tool's :func:`tool_fingerprint`; a tool
+    without one skips the store (counted as ``persistent_unkeyed``).
 
     Returns ``(prewarm, warm_store, save_warm)``:
 
     * ``prewarm`` — the verified stored payload on a hit (every slice
       starts warm, no pilot), else None;
     * ``warm_store`` — on a miss, the
-      :class:`~repro.superpin.sharedcache.WarmTraceStore` the executors
+      :class:`~repro.superpin.sharedcache.TemplateStore` the executors
       fold the pilot's exports into;
-    * ``save_warm`` — call after the slice phase; on a miss it persists
-      the frozen payload (no-op on hits or when no store is configured).
+    * ``save_warm`` — call with the slice results after the slice
+      phase; on a miss it persists every shareable template the run
+      lowered plus the pilot's chains (no-op on hits or when no store
+      is configured).
     """
     store = trace_store_for(config, metrics)
     if store is None:
-        return None, None, lambda: None
-    key = store_key(source_digest, config)
+        return None, None, lambda results: None
+    if tool_digest is None:
+        metrics.inc("pin.cache.persistent_unkeyed")
+        return None, None, lambda results: None
+    key = store_key(source_digest, config, tool_digest)
     prewarm = store.load(key)
     if prewarm is not None:
-        return prewarm, None, lambda: None
-    from .sharedcache import WarmTraceStore
-    warm_store = WarmTraceStore()
-    return None, warm_store, lambda: store.save(key, warm_store.freeze())
+        return prewarm, None, lambda results: None
+    from .sharedcache import TemplateStore
+    warm_store = TemplateStore()
+
+    def save_warm(results) -> None:
+        warm_store.collect_results(results)
+        store.save(key, warm_store.persisted())
+    return None, warm_store, save_warm
 
 
 def _apply_artifact_faults(config: SuperPinConfig, num_slices: int) -> None:
@@ -554,6 +562,8 @@ def _replay_one(source, tool: Pintool, config: SuperPinConfig,
             source, metrics=metrics,
             tolerate_damaged=config.spfaults == "degrade")
 
+    tool_digest = (tool_fingerprint(tool)
+                   if config.sptracestore is not None else None)
     sp = SPControl(config)
     sp.replay_source = recording.path
     tool.setup(sp)
@@ -582,7 +592,7 @@ def _replay_one(source, tool: Pintool, config: SuperPinConfig,
     # second replay of the same artifact starts warm (satellite fix:
     # replays/resumes no longer bypass the warm tier).
     prewarm, warm_store, save_warm = _trace_store_lookup(
-        config, metrics, recording.recording_id)
+        config, metrics, recording.recording_id, tool_digest)
 
     if on_progress is not None:
         on_progress("phase", {"phase": "slice"})
@@ -599,7 +609,7 @@ def _replay_one(source, tool: Pintool, config: SuperPinConfig,
         finally:
             if journal is not None:
                 journal.close()
-    save_warm()
+    save_warm(supervised.results)
     _apply_artifact_faults(config, len(timeline.intervals))
     results, timings = supervised.results, supervised.timings
     degraded = supervised.degraded

@@ -23,32 +23,34 @@ Warm code cache (``-spwarmcache``, on by default)
 
 Where ``-spsharedcache`` *models* the §8 shared cache in the virtual
 timing figures, the warm cache implements its host-level counterpart
-for real wall-clock time.  Slice 0 runs first (the *pilot*); the traces
-it compiled are exported as :class:`WarmTrace` entries — for the source
-backend including the generated source text and a marshalled code
-object — folded into a :class:`WarmTraceStore` and frozen.  Every later
-slice ships with that same frozen payload, so results are identical for
-any worker count and any completion order.
+for real wall-clock time: compile once per run.  Lowered traces are
+VM-independent :class:`~repro.pin.template.TraceTemplate` objects kept
+in one :class:`~repro.pin.template.TemplateCache`; a slice that needs a
+trace some earlier slice lowered only *binds* the template to its own
+engine and tool copy.  Sequential slices (``-spworkers 0``) read and
+extend one live cache for the whole run.  Worker slices cannot share
+live objects, so slice 0 runs first (the *pilot*): its shareable
+templates are pickled into a :class:`TemplatePayload` — with its
+promoted TC2 chains — frozen, and shipped with every later slice, so
+results are identical for any worker count and completion order.  The
+persistent trace store (``-sptracestore``) keeps every shareable
+template a run lowered, plus the pilot's chains.
 
-Inside a slice the payload becomes a :class:`WarmStartSet` consulted by
-the engine's dispatcher *miss* path.  A warm entry is still lowered and
-instrumented locally (analysis resolvers must bind this slice's own
-tool closures), and the regenerated source text is compared against the
-pilot's — the paper's "consistency check".  On a match the source
-backend execs the pilot's code object directly, skipping ``compile()``
-— the dominant cost of a cold source-backend build.  The closure
-backend cannot transport executable closures across processes, so its
-warm starts are directory hits that rebuild locally: the working set is
-pre-seeded but no host compile work is saved.  Either way the install
-goes through the ordinary ``CodeCache.insert``, so ``compiles``,
-``compile_log``, bubble accounting and every virtual-timing input are
-byte-identical to a cold run — warm execution is architecturally
-invisible, exactly like trace linking.
+Templates are content-addressed (code words and forced boundaries are
+re-checked on every lookup) and installs still go through the ordinary
+``CodeCache.insert``, so ``compiles``, ``compile_log``, bubble
+accounting and every virtual-timing input are byte-identical to a cold
+run — warm execution is architecturally invisible, exactly like trace
+linking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import pickle
+import zlib
+from dataclasses import dataclass
+
+from ..pin.template import TemplateCache
 
 
 @dataclass
@@ -105,151 +107,122 @@ def charge_result(result, directory: SharedCodeCacheDirectory) -> None:
     result.shared_cache_reuses = reuses
 
 
-@dataclass(frozen=True)
-class WarmTrace:
-    """One transportable trace for the cross-slice warm code cache.
+class TemplatePayload:
+    """The frozen warm payload: pickled shareable templates + TC2 chains.
 
-    ``source``/``code`` are None for the closure backend, whose traces
-    (closures over live VM state) cannot cross a process boundary; the
-    entry then only seeds the working-set directory.
+    The templates travel as one compressed pickle blob, so the payload
+    costs a byte copy each time it is pickled into a slice payload, and
+    decodes once per consumer (:attr:`templates`).  ``chains`` are the
+    pilot's promoted superblock chains as tuples of segment start
+    addresses; slices install them as a TC2 promotion profile so warm
+    runs start *hot*, not merely warm (see
+    ``TranslationCache2.install_profile``).
     """
 
-    address: int
-    num_ins: int
-    #: Generated source text (source backend) — the consistency key.
-    source: str | None = None
-    #: ``marshal.dumps`` of the compiled code object (source backend).
-    code: bytes | None = None
+    __slots__ = ("blob", "count", "chains", "_templates")
 
-
-class WarmPayload(tuple):
-    """The frozen warm payload: WarmTrace entries plus TC2 chains.
-
-    A plain tuple of :class:`WarmTrace` entries to every consumer that
-    predates tier 2 (the payload pickles into worker blobs, persists in
-    the trace store, and is indexed/iterated as a sequence), with one
-    extra attribute: ``chains`` — the pilot's promoted superblock
-    chains as tuples of segment start addresses.  Slices install them
-    as a TC2 promotion profile so warm runs start *hot*, not merely
-    warm (see ``TranslationCache2.install_profile``).
-    """
-
-    def __new__(cls, entries=(), chains=()):
-        self = tuple.__new__(cls, entries)
+    def __init__(self, templates=(), chains=(), blob: bytes | None = None,
+                 count: int | None = None):
+        self._templates = None
+        if blob is None:
+            self._templates = tuple(templates)
+            blob = zlib.compress(pickle.dumps(self._templates,
+                                              pickle.HIGHEST_PROTOCOL), 1)
+            count = len(self._templates)
+        self.blob = blob
         self.chains = tuple(tuple(chain) for chain in chains)
-        return self
+        self.count = count if count is not None else len(self.templates)
 
-    def __reduce__(self):
-        return (WarmPayload, (tuple(self), self.chains))
-
-
-@dataclass
-class WarmTraceStore:
-    """Control-process side: folds pilot exports, freezes the payload.
-
-    The payload is frozen after the pilot slice so every later slice —
-    including supervisor retries — receives the *same* warm set,
-    keeping results independent of worker count and completion order.
-    """
-
-    _entries: dict[tuple[int, int], WarmTrace] = field(
-        default_factory=dict)
-    _chains: tuple = ()
-    _frozen: WarmPayload | None = None
-
-    def fold(self, exports) -> None:
-        """Merge one slice's :class:`WarmTrace` exports (first wins)."""
-        if self._frozen is not None:
-            return
-        for entry in exports:
-            self._entries.setdefault((entry.address, entry.num_ins),
-                                     entry)
-
-    def fold_chains(self, chains) -> None:
-        """Adopt the pilot's superblock chains (first export wins)."""
-        if self._frozen is not None or self._chains:
-            return
-        self._chains = tuple(tuple(chain) for chain in chains)
-
-    def freeze(self) -> WarmPayload:
-        """Freeze and return the payload, sorted for determinism."""
-        if self._frozen is None:
-            self._frozen = WarmPayload(
-                sorted(self._entries.values(),
-                       key=lambda e: (e.address, e.num_ins)),
-                self._chains)
-        return self._frozen
-
-    def fold_pilot(self, result) -> WarmPayload:
-        """Fold the pilot slice's exports and freeze the payload.
-
-        Strips the exports off the result afterwards so reports don't
-        drag trace sources around.
-        """
-        self.fold(result.warm_exports)
-        self.fold_chains(getattr(result, "sb_chains", ()))
-        result.warm_exports = ()
-        result.sb_chains = ()
-        return self.freeze()
-
-
-class WarmStartSet:
-    """Slice side: a consumable pc -> :class:`WarmTrace` directory.
-
-    Consulted by the engine's dispatcher miss path; each entry serves
-    at most once (after that the trace is cached normally).
-    """
-
-    def __init__(self, entries):
-        self._by_pc: dict[int, WarmTrace] = {}
-        for entry in entries:
-            self._by_pc.setdefault(entry.address, entry)
-        #: Entries whose consistency check failed (different local
-        #: instrumentation or guest bytes); the caller compiled cold.
-        self.mismatches = 0
+    @property
+    def templates(self) -> tuple:
+        if self._templates is None:
+            self._templates = tuple(pickle.loads(zlib.decompress(self.blob)))
+        return self._templates
 
     def __len__(self) -> int:
-        return len(self._by_pc)
+        return self.count
 
-    def build(self, pc: int, jit):
-        """Build the warm trace at ``pc``, or None for a cold compile.
-
-        Source backend: re-lower locally, string-compare the generated
-        source against the pilot's (the consistency check), and on a
-        match exec the marshalled code object — skipping ``compile()``.
-        Closure backend (no transportable code): rebuild through the
-        ordinary JIT; the hit still counts as a warm start because the
-        directory, not guest discovery, named the trace.
-        """
-        entry = self._by_pc.pop(pc, None)
-        if entry is None:
-            return None
-        if entry.code is None:
-            return jit.compile(pc)
-        trace = jit.compile_warm(pc, entry.source, entry.code)
-        if trace is None:
-            self.mismatches += 1
-        return trace
+    def __reduce__(self):
+        return (TemplatePayload, ((), self.chains, self.blob, self.count))
 
 
-def export_warm_traces(cache, jit_backend: str) -> tuple[WarmTrace, ...]:
-    """Export a slice's live traces as warm-cache entries.
+def export_templates(templates) -> TemplatePayload:
+    """Pickle the shareable templates a slice lowered (not the ones it
+    was seeded with) for the control process.
 
-    Reads the surviving (post-flush) cache contents; for the source
-    backend each entry carries the generated source and the marshalled
-    code object.
+    Templates whose routines cannot be pickled by reference (tools
+    defined inside a function, say) are left out: they still share
+    within a process, they just cannot travel.
     """
-    entries = []
-    for trace in cache.live_traces():
-        if jit_backend == "source":
-            from ..pin.pyjit import SourceJit
-            entries.append(WarmTrace(
-                address=trace.start, num_ins=trace.num_ins,
-                source=trace.source, code=SourceJit.export_code(trace)))
-        else:
-            entries.append(WarmTrace(address=trace.start,
-                                     num_ins=trace.num_ins))
-    return tuple(entries)
+    entries = templates.templates(added_only=True) \
+        if templates is not None else []
+    try:
+        return TemplatePayload(entries)
+    except Exception:
+        portable = []
+        for entry in entries:
+            try:
+                pickle.dumps(entry, pickle.HIGHEST_PROTOCOL)
+            except Exception:
+                continue
+            portable.append(entry)
+        return TemplatePayload(portable)
+
+
+class TemplateStore:
+    """Control-process side of the warm payload.
+
+    Freezes the pilot's exports once (:meth:`fold_pilot`) — every later
+    slice, including supervisor retries, receives the *same* templates,
+    keeping results independent of worker count and completion order —
+    and collects the templates later slices lowered (:meth:`collect`)
+    for the persistent trace store, whose entry is the union
+    (:meth:`persisted`).
+    """
+
+    def __init__(self):
+        self._frozen: TemplatePayload | None = None
+        self._collected: list = []
+
+    def fold_pilot(self, result) -> TemplatePayload:
+        """Freeze the pilot's exports and chains (first call wins).
+
+        Strips the exports off the result afterwards so reports don't
+        drag pickled templates around.
+        """
+        if self._frozen is None:
+            exports = result.warm_exports or TemplatePayload()
+            self._frozen = TemplatePayload(
+                chains=getattr(result, "sb_chains", ()),
+                blob=exports.blob, count=exports.count)
+        result.warm_exports = None
+        result.sb_chains = ()
+        return self._frozen
+
+    def freeze(self) -> TemplatePayload:
+        """The frozen in-run payload (empty before any pilot folded)."""
+        if self._frozen is None:
+            self._frozen = TemplatePayload()
+        return self._frozen
+
+    def collect(self, templates) -> None:
+        """Keep templates for the persistent entry."""
+        self._collected.extend(templates)
+
+    def collect_results(self, results) -> None:
+        """Collect (and strip) every result's exports, in slice order."""
+        for result in sorted(results, key=lambda r: r.index):
+            if result.warm_exports is not None:
+                self.collect(result.warm_exports.templates)
+                result.warm_exports = None
+
+    def persisted(self) -> TemplatePayload:
+        """What the persistent store keeps: the pilot's templates and
+        chains plus every collected template (first copy wins)."""
+        union = TemplateCache()
+        for template in (*self.freeze().templates, *self._collected):
+            union.add_unique(template)
+        return TemplatePayload(union.templates(), self.freeze().chains)
 
 
 def charge_slices_in_order(results,

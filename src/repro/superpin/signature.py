@@ -183,8 +183,14 @@ class SignatureDetector:
     # -- instrumentation -----------------------------------------------------
 
     def attach(self) -> None:
-        """Register the detection trace callback on the slice's VM."""
-        self.vm.add_trace_callback(self._instrument)
+        """Register the detection trace callback on the slice's VM.
+
+        The callback only instruments the signature pc, which the slice
+        engine forces as a trace boundary (``run_slice``), so it is
+        declared boundary-only and does not split the engine's template
+        shape (see ``PinVM.template_shape``).
+        """
+        self.vm.add_trace_callback(self._instrument, boundary_only=True)
 
     def _instrument(self, trace, value) -> None:
         target = self.signature.pc

@@ -20,8 +20,10 @@ from ..machine.process import Process
 from ..obs.metrics import NULL_METRICS
 from ..pin.codecache import CodeCache
 from ..pin.engine import PinVM, RunState
+from ..pin.template import TemplateCache
 from .api import END_SLICE_TOKEN, SliceToolContext, SPControl
 from .control import Boundary, Interval
+from .sharedcache import export_templates
 from .signature import (DetectionStats, Signature, SignatureDetector)
 from .switches import SuperPinConfig
 from .sysrecord import PlaybackHandler
@@ -69,15 +71,21 @@ class SliceResult:
     #: Trace transitions that chained through a direct link instead of
     #: the dispatcher dict (``-splinktraces``; informational).
     linked_dispatches: int = 0
-    #: Traces installed from the warm payload (``-spwarmcache``); still
-    #: counted in ``compiles`` — warm execution is architecturally
-    #: identical to cold, only the host compile work differs.
+    #: Traces bound from a cached template without lowering
+    #: (``-spwarmcache``); still counted in ``compiles`` — warm
+    #: execution is architecturally identical to cold, only the host
+    #: compile work differs.
     warm_starts: int = 0
-    #: Warm entries whose consistency check failed (compiled cold).
-    warm_mismatches: int = 0
-    #: Warm-cache entries this slice exported for the control process
-    #: to fold (pilot slice only; cleared once folded).
-    warm_exports: tuple = ()
+    #: Real lowerings this slice performed (step traces included) and
+    #: their instructions; ``private_traces`` of them did not enter the
+    #: shared template cache (see repro.pin.template).
+    lowered_traces: int = 0
+    lowered_ins: int = 0
+    private_traces: int = 0
+    #: The shareable templates this slice lowered, exported for the
+    #: control process as a ``TemplatePayload`` (the pilot, and every
+    #: slice of a run that saves a trace store; cleared once folded).
+    warm_exports: object = None
     #: Architectural end state, for the differential audit: the pc the
     #: slice stopped at and a fingerprint of its final register file.
     end_pc: int = -1
@@ -115,6 +123,12 @@ class SliceResult:
     sb_chains: tuple = ()
 
     @property
+    def cold_compiles(self) -> int:
+        """Shareable traces this slice lowered itself — the lowerings a
+        warm template cache could have served."""
+        return self.lowered_traces - self.private_traces
+
+    @property
     def exact(self) -> bool:
         """True when the slice covered exactly the master's interval."""
         return (self.instructions == self.expected_instructions
@@ -126,7 +140,8 @@ def run_slice(boundary: Boundary, interval: Interval,
               template: SliceToolContext, sp: SPControl,
               config: SuperPinConfig,
               shared_directory=None, metrics=NULL_METRICS,
-              warm=None, export_warm: bool = False) -> SliceResult:
+              warm=None, export_warm: bool = False,
+              trace_templates=None) -> SliceResult:
     """Execute slice ``interval.index`` and return its result.
 
     ``end_signature`` is the next boundary's signature (None for the
@@ -138,9 +153,14 @@ def run_slice(boundary: Boundary, interval: Interval,
     folded at slice end); in a worker process it is a worker-local
     registry whose snapshot the parent merges.
 
-    ``warm`` is the frozen warm-cache payload (WarmTrace entries, or
-    None); ``export_warm`` asks the slice to export its own compiled
-    traces on the result — set only for the pilot slice.
+    ``warm`` is the frozen warm payload (a ``TemplatePayload``, or
+    None): its templates seed the slice's template cache and its TC2
+    chains become the promotion profile.  ``trace_templates`` is a live
+    ``TemplateCache`` to read and extend instead (the sequential
+    executor shares one across the run).  ``export_warm`` asks the
+    slice to export the shareable templates it lowered on the result —
+    set for the pilot, and for every slice of a run that saves a trace
+    store.  With ``-spwarmcache 0`` every compile lowers.
     """
     index = interval.index
     if boundary.is_hole:
@@ -186,19 +206,16 @@ def run_slice(boundary: Boundary, interval: Interval,
     if end_signature is not None:
         detector = SignatureDetector(end_signature, vm)
         detector.attach()
-    # Warm cache last: installation is lazy, but keeping it after every
-    # add_trace_callback (each of which flushes) keeps the order obvious.
-    warm_set = None
-    if warm:
-        from .sharedcache import WarmStartSet
-        warm_set = WarmStartSet(warm)
-        vm.install_warm(warm_set)
-        if vm.tc2 is not None:
-            # The pilot's promoted chains become this slice's promotion
-            # profile: each chain promotes the moment its segments are
-            # cached, so warm slices start hot instead of re-earning
-            # every superblock through the execution counter.
-            vm.tc2.install_profile(getattr(warm, "chains", ()))
+    if config.spwarmcache:
+        if trace_templates is None:
+            trace_templates = TemplateCache(warm.templates if warm else ())
+        vm.templates = trace_templates
+    if warm is not None and vm.tc2 is not None:
+        # The pilot's promoted chains become this slice's promotion
+        # profile: each chain promotes the moment its segments are
+        # cached, so warm slices start hot instead of re-earning every
+        # superblock through the execution counter.
+        vm.tc2.install_profile(warm.chains)
 
     # 4. Slice-begin callbacks (reset local statistics; paper Figure 2).
     if ctx.reset_fun is not None:
@@ -246,7 +263,9 @@ def run_slice(boundary: Boundary, interval: Interval,
         compile_log=tuple(cache.insert_log),
         linked_dispatches=cache.stats.linked_dispatches,
         warm_starts=cache.stats.warm_starts,
-        warm_mismatches=warm_set.mismatches if warm_set else 0,
+        lowered_traces=cache.stats.lowered_traces,
+        lowered_ins=cache.stats.lowered_ins,
+        private_traces=cache.stats.private_traces,
         end_pc=vm.cpu.pc,
         end_cpu_hash=vm.cpu.fingerprint(),
         syscall_digest=handler.stream_digest,
@@ -261,9 +280,7 @@ def run_slice(boundary: Boundary, interval: Interval,
         tc2_mispredicts=vm.tc2.stats.mispredicts if vm.tc2 else 0,
     )
     if export_warm:
-        from .sharedcache import export_warm_traces
-        result_record.warm_exports = export_warm_traces(
-            cache, config.jit_backend)
+        result_record.warm_exports = export_templates(vm.templates)
         if vm.tc2 is not None:
             result_record.sb_chains = vm.tc2.chains()
     if shared_directory is not None:
@@ -286,8 +303,9 @@ def run_slice(boundary: Boundary, interval: Interval,
         metrics.inc("pin.cache.linked_dispatches",
                     cache.stats.linked_dispatches)
         metrics.inc("pin.cache.warm_starts", cache.stats.warm_starts)
-        metrics.inc("pin.cache.warm_mismatches",
-                    result_record.warm_mismatches)
+        metrics.inc("pin.jit.lowered_traces", cache.stats.lowered_traces)
+        metrics.inc("pin.jit.lowered_ins", cache.stats.lowered_ins)
+        metrics.inc("pin.jit.private_traces", cache.stats.private_traces)
         # (pin.cache.reinserts is counted live inside CodeCache.insert,
         # like pin.cache.compiles.)
         istats = vm.instr_stats
@@ -316,6 +334,8 @@ def run_slice(boundary: Boundary, interval: Interval,
             metrics.inc("superpin.sample.skipped_slices")
         metrics.observe("superpin.slice.instructions",
                         result_record.instructions)
+    # Free the slice's engine by refcount the moment this returns.
+    vm.close()
     return result_record
 
 

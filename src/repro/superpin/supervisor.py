@@ -70,6 +70,7 @@ from .journal import unframe_blob
 from .parallel import (SliceTimings, _slice_payload, _worker_run_slice,
                        execute_slices, slice_timings_from_records,
                        synthesize_slice_spans)
+from .sharedcache import TemplateStore
 from .sharedmem import resolve_shared_areas
 from .signature import Signature
 from .slices import SliceResult
@@ -201,8 +202,9 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
     * ``prewarm`` — payload from a persistent-store hit; every slice
       (pilot included) starts warm and the pilot protocol is skipped.
     * ``warm_store`` — the
-      :class:`~repro.superpin.sharedcache.WarmTraceStore` the pilot's
-      exports fold into, so the runtime can persist the frozen payload.
+      :class:`~repro.superpin.sharedcache.TemplateStore` the pilot's
+      exports fold into; with it every slice exports the templates it
+      lowered, so the runtime can persist them all.
     * ``on_progress`` — parent-side ``("slice", {completed, total})``
       callback streamed to serve-daemon clients.
     """
@@ -318,7 +320,8 @@ class _Supervisor:
             warm = prewarm if warmcache else None
             for k in range(self.n_slices):
                 if self._todo(k):
-                    self.payloads[k] = self._make_payload(k, warm=warm)
+                    self.payloads[k] = self._make_payload(
+                        k, warm=warm, export_warm=warm_store is not None)
 
     def _make_payload(self, k: int, warm=None,
                       export_warm: bool = False) -> bytes:
@@ -367,18 +370,18 @@ class _Supervisor:
     def _release_rest(self) -> None:
         """Pilot resolved: freeze the warm payload, build the rest.
 
-        A degraded pilot (no result) freezes an empty payload — later
-        slices simply run cold, the same as ``-spwarmcache 0``.
+        A degraded pilot (no result) leaves no payload — later slices
+        start without one and each lowers its own working set.
         """
-        from .sharedcache import WarmTraceStore
         warm = None
         if 0 in self.results:
             store = self.warm_store if self.warm_store is not None \
-                else WarmTraceStore()
+                else TemplateStore()
             warm = store.fold_pilot(self.results[0])
         for k in range(1, self.n_slices):
             if self._todo(k):
-                self.payloads[k] = self._make_payload(k, warm=warm)
+                self.payloads[k] = self._make_payload(
+                    k, warm=warm, export_warm=self.warm_store is not None)
         self._pilot = False
 
     # -- shared bookkeeping ------------------------------------------------

@@ -29,10 +29,12 @@ Switch                  Meaning
 ``-splinktraces <0|1>`` direct trace linking in slice engines: chain
                         trace->trace through patched exit links,
                         bypassing the dispatcher (on by default)
-``-spwarmcache <0|1>``  cross-slice warm code cache: the pilot slice's
-                        compiled traces ship with every later slice's
-                        payload so slices start hot (on by default;
-                        effective with ``-spworkers`` or sequential)
+``-spwarmcache <0|1>``  share compiled traces across slices: each trace
+                        lowers once per run into a template that later
+                        slices bind to their own engine (sequential
+                        slices share one cache; workers get the pilot
+                        slice's templates).  On by default; 0 is the
+                        cold reference (every install lowers)
 ``-sptc2 <N>``          tiered compilation: promote trace chains into
                         hot superblocks in a second translation cache
                         once a trace executes N times (see
@@ -76,8 +78,9 @@ Switch                  Meaning
                         with byte-identical merged results
 ``-sptracestore <dir>`` persistent cross-run trace store: compiled
                         warm-cache payloads are content-addressed by
-                        (program digest, ISA fingerprint, JIT backend,
-                        filter/suppress config) and shared across runs
+                        (program digest, ISA fingerprint, tool source
+                        and settings, JIT backend, filter/suppress/TC2
+                        config) and shared across runs
                         and processes, so a repeated program starts hot
                         with zero pilot cold compiles (see
                         superpin.trace_store; requires -spwarmcache)
@@ -198,11 +201,12 @@ class SuperPinConfig:
     #: compiled traces chain straight to their successors, touching the
     #: dispatcher only on cold exits.  Architecturally invisible.
     splinktraces: bool = True
-    #: Cross-slice warm code cache: slice 0 runs first (the pilot), its
-    #: compiled traces are folded into a warm payload, and every later
-    #: slice installs them before running instead of re-JITting the
-    #: working set from guest memory.  The payload is frozen after the
-    #: pilot so results stay identical for any worker count.
+    #: Share compiled traces across slices (repro.pin.template): every
+    #: trace lowers once per run into a VM-independent template that
+    #: later slices bind to their own engine instead of re-lowering.
+    #: Sequential slices share one live cache; worker slices receive
+    #: the pilot slice's templates, frozen so results stay identical
+    #: for any worker count.  False is the cold reference.
     spwarmcache: bool = True
     #: Tier-2 promotion threshold (``-sptc2 N``): a tier-1 trace that
     #: executes N times has its hottest link chain straightened into a
@@ -256,10 +260,10 @@ class SuperPinConfig:
     # --- persistent cross-run trace store (superpin.trace_store) -----------
     #: Directory of the persistent trace store, or None (off).  With the
     #: store configured (and ``spwarmcache`` on), the run looks its warm
-    #: payload up by content address before the slice phase: a hit warms
-    #: *every* slice — the pilot included — so a repeated program pays
-    #: zero cold compiles; a miss runs the normal pilot protocol and
-    #: persists the frozen payload for the next run.
+    #: templates up by content address before the slice phase: a hit
+    #: warms *every* slice — the pilot included — so a repeated program
+    #: lowers only its private traces; a miss runs the normal pilot
+    #: protocol and persists every shareable template for the next run.
     sptracestore: str | None = None
     #: Size budget (bytes) for the trace store directory; past it the
     #: least-recently-used entries are evicted.

@@ -1,11 +1,12 @@
 """Persistent cross-run trace store: the warm cache's durable tier.
 
-PR 4's warm code cache amortizes JIT compilation *within* one run: the
-pilot slice compiles the working set once and every later slice starts
-hot.  The cost that remains is paid once per *run* — the pilot itself
-always compiles cold, so a service that executes the same program over
-and over (the ``repro.serve`` daemon, a CI loop, a perf gate) re-does
-identical compile work on every submission.
+The warm code cache amortizes JIT compilation *within* one run: every
+trace is lowered into a VM-independent template once and bound by each
+slice that needs it (:mod:`repro.pin.template`).  The cost that remains
+is paid once per *run* — the first lowering of every trace — so a
+service that executes the same program over and over (the
+``repro.serve`` daemon, a CI loop, a perf gate) re-does identical
+compile work on every submission.
 
 The :class:`TraceStore` lifts the frozen warm payload onto disk,
 content-addressed so it can be shared across runs, tenants and
@@ -13,21 +14,28 @@ processes without coordination:
 
 * **Key** (:func:`store_key`) — SHA-256 over the program digest (or
   recording id for replays), the ISA/codegen fingerprint
-  (:func:`isa_fingerprint`), the JIT backend, and every config field
-  that shapes compiled traces (filter spec, suppression, linking).  Two
-  runs with the same key would compile byte-identical traces, which is
-  what makes adopting each other's payload sound.
+  (:func:`isa_fingerprint`), the instrumenting tool's fingerprint
+  (:func:`tool_fingerprint`: its class and module source plus its
+  settings), the JIT backend, and every config field that shapes
+  compiled traces (filter spec, suppression, linking).  Two runs with
+  the same key would compile byte-identical traces, which is what makes
+  adopting each other's payload sound.
 * **Entries** — one file per key (``<key>.spwc``): magic, format
-  version, SHA-256 over the payload, then the pickled
-  :class:`~repro.superpin.sharedcache.WarmTrace` tuple.  Written with
-  :func:`repro.fsutil.atomic_write`, so concurrent writers race to a
-  *complete* file, never a torn one.
+  version, SHA-256 over the payload, then the pickled pilot templates
+  (:class:`~repro.superpin.sharedcache.TemplatePayload`) and TC2
+  chains.  Written with :func:`repro.fsutil.atomic_write`, so
+  concurrent writers race to a *complete* file, never a torn one.
 * **Verification** — every load recomputes the payload digest.  A
   mismatch (bit rot, a truncated copy, tampering) evicts the entry and
-  reports a miss: corrupt bytes are never handed to a JIT.  Even a
-  clean payload is only *advisory* — inside the slice the per-trace
-  consistency check (source-text comparison) still runs, so a stale
-  entry can cost a cold compile but never wrong execution.
+  reports a miss: corrupt bytes are never handed to a JIT.  Lookups
+  re-check each template's code words, forced boundaries and
+  instrumentation shape, but a template also carries the tool's
+  instrumentation *decisions* (which instructions get calls, constant
+  arguments, loop summaries), and a later run binds them without
+  calling ``instrument_trace`` again.  Only the key guards those: an
+  edited tool module or a tool constructed with different settings
+  keys a different entry.  A tool whose settings cannot be put in
+  canonical form (see :func:`tool_fingerprint`) never uses the store.
 * **Eviction** — the store is size-bounded; when the entry files exceed
   the budget, the least-recently-used entries (by access time, which
   loads refresh) are unlinked.  Eviction is best-effort and safe under
@@ -36,25 +44,32 @@ processes without coordination:
 
 Counters (``-spmetrics``): ``pin.cache.persistent_hits`` /
 ``persistent_misses`` / ``persistent_saves`` / ``persistent_evictions``
-/ ``persistent_corrupt`` — the perf gate requires ``persistent_hits``
-to be nonzero on its warm run.
+/ ``persistent_corrupt`` / ``persistent_unkeyed`` (runs that skipped a
+configured store because the tool has no fingerprint) — the perf gate
+requires ``persistent_hits`` to be nonzero on its warm run.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import hashlib
+import inspect
 import os
 import pickle
+import sys
 
 from ..fsutil import atomic_write, fsync_directory
 from ..obs.metrics import NULL_METRICS
+from ..pin.template import TraceTemplate
+from .sharedcache import TemplatePayload
 
 #: Entry-file magic + format revision.  Bump when the payload schema
-#: changes shape.  Revision 2 pickles a section dict — ``traces`` (the
-#: WarmTrace tuple) plus ``chains`` (TC2 promotion chains) — instead of
-#: the bare tuple; revision-1 entries fail the magic check and evict
-#: like any other corrupt file (a clean miss, never a crash).
-STORE_MAGIC = b"SPTS2\n"
+#: changes shape.  Revision 3 pickles a section dict — ``templates``
+#: (the pickled TraceTemplate tuple) plus ``chains`` (TC2 promotion
+#: chains); older entries fail the magic check and evict like any other
+#: corrupt file (a clean miss, never a crash).
+STORE_MAGIC = b"SPTS3\n"
 _DIGEST_LEN = 32
 ENTRY_SUFFIX = ".spwc"
 
@@ -74,14 +89,13 @@ def isa_fingerprint() -> str:
     """
     global _isa_fingerprint_cache
     if _isa_fingerprint_cache is None:
-        import inspect
-
         from ..isa import encoding, instructions
-        from ..pin import engine, jit, pyjit, superblock, suppress, trace
+        from ..pin import (args, engine, jit, pyjit, superblock, suppress,
+                           template, trace)
 
         digest = hashlib.sha256()
-        for module in (encoding, instructions, trace, jit, pyjit,
-                       suppress, superblock, engine):
+        for module in (encoding, instructions, trace, args, jit, pyjit,
+                       template, suppress, superblock, engine):
             digest.update(inspect.getsource(module).encode("utf-8"))
         _isa_fingerprint_cache = digest.hexdigest()
     return _isa_fingerprint_cache
@@ -97,17 +111,97 @@ _KEY_FIELDS = ("jit_backend", "spfilter", "spsuppress", "splinktraces",
                "sptc2")
 
 
-def store_key(source_digest: str, config) -> str:
-    """Content address of one program+config's warm payload.
+def store_key(source_digest: str, config, tool_digest: str) -> str:
+    """Content address of one program+tool+config's warm payload.
 
     ``source_digest`` identifies the code being executed — a program
     pickle digest for live runs, a recording id for replays (the two
     deliberately key separate entries: a recording's slice shapes are
-    its own).
+    its own).  ``tool_digest`` is :func:`tool_fingerprint` of the
+    instrumenting tool.
     """
     fields = tuple(getattr(config, name, None) for name in _KEY_FIELDS)
-    token = repr((source_digest, isa_fingerprint(), fields)).encode()
+    token = repr((source_digest, isa_fingerprint(), tool_digest,
+                  fields)).encode()
     return hashlib.sha256(token).hexdigest()
+
+
+class _NotCanonical(Exception):
+    """A tool setting with no process-independent canonical form."""
+
+
+def _canonical(value):
+    """``value`` as nested tuples of scalars whose repr is the same in
+    every process (sets and dicts sorted, dataclasses by field)."""
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return value
+    if isinstance(value, enum.Enum):
+        return (type(value).__qualname__, value.name)
+    if isinstance(value, (tuple, list)):
+        return (type(value).__name__,
+                tuple(_canonical(item) for item in value))
+    if isinstance(value, (set, frozenset)):
+        return ("set", tuple(sorted((_canonical(item) for item in value),
+                                    key=repr)))
+    if isinstance(value, dict):
+        return ("dict", tuple(sorted(
+            ((_canonical(k), _canonical(v)) for k, v in value.items()),
+            key=repr)))
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return (type(value).__module__, type(value).__qualname__,
+                tuple((f.name, _canonical(getattr(value, f.name)))
+                      for f in dataclasses.fields(value)))
+    raise _NotCanonical(type(value).__qualname__)
+
+
+_class_digest_cache: dict[type, str | None] = {}
+
+
+def _class_digest(cls: type) -> str | None:
+    """Digest of the source of every module defining ``cls`` or one of
+    its bases, or None when a module's source is unavailable."""
+    if cls not in _class_digest_cache:
+        digest = hashlib.sha256()
+        try:
+            for klass in cls.__mro__[:-1]:  # every class but ``object``
+                digest.update(f"{klass.__module__}.{klass.__qualname__}\n"
+                              .encode("utf-8"))
+                module = sys.modules[klass.__module__]
+                digest.update(inspect.getsource(module).encode("utf-8"))
+            _class_digest_cache[cls] = digest.hexdigest()
+        except (KeyError, OSError, TypeError):
+            _class_digest_cache[cls] = None
+    return _class_digest_cache[cls]
+
+
+def tool_fingerprint(tool) -> str | None:
+    """What decides ``tool``'s instrumentation, as a digest — or None.
+
+    Stored templates hold the tool's instrumentation decisions, so the
+    store key must change whenever ``instrument_trace`` could decide
+    differently.  By the tool contract
+    (:class:`~repro.pin.pintool.Pintool`) those decisions depend only on
+    the trace and the tool's configuration, so the fingerprint covers
+    the source of the modules defining the tool's class and its bases,
+    and the tool's whole instance state in canonical form.  Call it
+    before ``setup``, while that state is the constructor's settings.
+    Including all of it over-approximates "configuration": a reused
+    tool object whose counters moved keys a new entry, costing a cold
+    compile, never a stale one.
+
+    None — the tool must not use the store — when a module's source is
+    unavailable (a class defined interactively) or the state holds
+    something with no canonical form (an arbitrary object, a closure).
+    """
+    class_digest = _class_digest(type(tool))
+    if class_digest is None:
+        return None
+    try:
+        state = _canonical(vars(tool))
+    except (_NotCanonical, TypeError):
+        return None
+    return hashlib.sha256(
+        repr((class_digest, state)).encode("utf-8")).hexdigest()
 
 
 def _valid_chains(chains) -> bool:
@@ -167,7 +261,10 @@ class TraceStore:
             return None
         try:
             sections = pickle.loads(payload)
-            traces = tuple(sections["traces"])
+            warm = TemplatePayload(blob=sections["templates"], count=0)
+            templates = warm.templates
+            if not all(type(t) is TraceTemplate for t in templates):
+                raise TypeError("not a template payload")
         except Exception:
             self._evict_corrupt(path)
             self.metrics.inc("pin.cache.persistent_misses")
@@ -175,10 +272,10 @@ class TraceStore:
         chains = sections.get("chains", ())
         if not _valid_chains(chains):
             # A bad TC2 section must not poison the tier-1 warm start:
-            # drop the chains, keep the traces.  (The slice-side
-            # per-trace consistency check still guards the traces
-            # themselves; chains have no such second line of defence,
-            # so they are validated structurally here.)
+            # drop the chains, keep the templates.  (Template lookups
+            # re-check code words and shapes; chains have no such
+            # second line of defence, so they are validated
+            # structurally here.)
             self.metrics.inc("pin.cache.persistent_chain_drops")
             chains = ()
         try:
@@ -186,8 +283,8 @@ class TraceStore:
         except OSError:
             pass  # evicted or unlinked concurrently; the payload stands
         self.metrics.inc("pin.cache.persistent_hits")
-        from .sharedcache import WarmPayload
-        return WarmPayload(traces, chains)
+        return TemplatePayload(chains=chains, blob=warm.blob,
+                               count=len(templates))
 
     @staticmethod
     def _verify(data: bytes) -> bytes | None:
@@ -210,19 +307,18 @@ class TraceStore:
 
     # -- save --------------------------------------------------------------
 
-    def save(self, key: str, entries) -> None:
-        """Persist one frozen warm payload; enforce the size budget.
+    def save(self, key: str, warm) -> None:
+        """Persist one frozen :class:`TemplatePayload`; enforce the size
+        budget.
 
         Empty payloads are not stored (a degraded pilot exports
         nothing; an empty entry would turn every future run into a
         useless "hit" that warms nothing).
         """
-        chains = tuple(tuple(chain) for chain
-                       in getattr(entries, "chains", ()))
-        entries = tuple(entries)
-        if not entries:
+        if not len(warm) and not warm.chains:
             return
-        payload = pickle.dumps({"traces": entries, "chains": chains},
+        payload = pickle.dumps({"templates": warm.blob,
+                                "chains": warm.chains},
                                pickle.HIGHEST_PROTOCOL)
         blob = (STORE_MAGIC + hashlib.sha256(payload).digest() + payload)
         path = self._path(key)

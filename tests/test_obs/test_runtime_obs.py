@@ -14,6 +14,13 @@ from repro.tools import ICount2
 PHASES = ("control_phase", "signature_phase", "slice_phase",
           "merge_phase", "timing_phase")
 
+#: Host compile-work counters.  Sequential slices share one live
+#: template cache while worker slices share only the pilot's exports,
+#: so how many traces each executor lowers (and binds warm) differs by
+#: design; everything the simulation determines must still match.
+HOST_COMPILE_WORK = ("pin.cache.warm_starts", "pin.jit.lowered_traces",
+                     "pin.jit.lowered_ins", "pin.jit.private_traces")
+
 
 def _run(multislice_program, **config_kwargs):
     config = SuperPinConfig(spmsec=500, clock_hz=10_000, **config_kwargs)
@@ -73,10 +80,24 @@ class TestCrossProcessMetrics:
                                                 multislice_program):
         """Worker snapshots must merge to the sequential totals: the
         same slices run either way, so every deterministic counter —
-        instructions, syscall replays, JIT compiles — is identical."""
+        instructions, syscall replays, JIT compiles — is identical.
+        Only the host compile-work counters may differ (see
+        HOST_COMPILE_WORK), and both executors must report them."""
         sequential = _run(multislice_program, spmetrics=True)
         parallel = _run(multislice_program, spworkers=2, spmetrics=True)
-        assert sequential.metrics.counters == parallel.metrics.counters
+
+        def simulated(report):
+            counters = dict(report.metrics.counters)
+            for name in HOST_COMPILE_WORK:
+                assert name in counters
+                del counters[name]
+            return counters
+
+        assert simulated(sequential) == simulated(parallel)
+        # Sharing one live cache never lowers more than the pilot
+        # protocol does.
+        assert sequential.metrics.counter("pin.jit.lowered_traces") \
+            <= parallel.metrics.counter("pin.jit.lowered_traces")
         assert sequential.metrics.counter(
             "superpin.slices.completed") == sequential.num_slices
         assert sequential.metrics.counter(

@@ -195,41 +195,52 @@ class TestSampling:
         assert audit.merged_tool_report != audit.serial_tool_report
 
 
-class TestWarmMismatchVisibility:
-    def test_sampling_under_source_backend_surfaces_mismatches(
+class TestLoweringVisibility:
+    def test_sampling_keys_templates_by_instrumentation(
             self, multislice_program):
-        """Satellite: WarmStartSet.mismatches must be exported.  With
-        sampling on, tool-free slices compile different source text than
-        the instrumented pilot, so warm consistency checks fail — and
-        before the fix those failures were counted and thrown away."""
-        tool = ICount2()
-        report = run_superpin(
-            multislice_program, tool,
-            SuperPinConfig(spsample=2, jit_backend="source",
-                           spmetrics=True, spwarmcache=True, **BASE),
-            kernel=Kernel(seed=42))
-        if report.num_slices < 3:
+        """Sampling mixes tool-free and instrumented slices in one run.
+        Their lowerings differ, so the template cache keys them apart:
+        a tool-free slice must never bind an instrumented template (it
+        would run the tool's analysis calls) and vice versa — every
+        slice matches the cold reference exactly."""
+        config = dict(spsample=2, jit_backend="source", spmetrics=True,
+                      **BASE)
+        warm = run_superpin(multislice_program, ICount2(),
+                            SuperPinConfig(spwarmcache=True, **config),
+                            kernel=Kernel(seed=42))
+        cold = run_superpin(multislice_program, ICount2(),
+                            SuperPinConfig(spwarmcache=False, **config),
+                            kernel=Kernel(seed=42))
+        if warm.num_slices < 3:
             pytest.skip("needs several slices to exercise the warm cache")
-        assert report.total_warm_mismatches > 0
-        assert (report.metrics.counters.get("pin.cache.warm_mismatches")
-                == report.total_warm_mismatches)
-        instr = report.instrumentation_summary()
-        assert instr["warm_mismatches"] == report.total_warm_mismatches
+        assert {s.instrumented for s in warm.slices} == {True, False}
+        assert sum(s.warm_starts for s in warm.slices) > 0
+        for w, c in zip(warm.slices, cold.slices):
+            assert (w.instrumented, w.analysis_calls, w.inline_checks,
+                    w.compile_log, w.fastpath_traces) \
+                == (c.instrumented, c.analysis_calls, c.inline_checks,
+                    c.compile_log, c.fastpath_traces)
 
-    def test_mismatches_always_reach_metrics_and_report(
+    def test_lowering_counters_reach_metrics_and_report(
             self, multislice_program):
-        """Whatever the baseline mismatch count is (slices legitimately
-        differ from the pilot at their forced-boundary pcs), the metric
-        and the report must agree — before the fix the counter never
-        left the slice."""
-        tool = ICount2()
+        """Every lowering a slice performs — shared or private — must
+        reach the metrics registry and the report, and the report's
+        totals must agree with the per-slice figures."""
         report = run_superpin(
-            multislice_program, tool,
+            multislice_program, ICount2(),
             SuperPinConfig(jit_backend="source", spwarmcache=True,
                            spmetrics=True, **BASE),
             kernel=Kernel(seed=42))
-        assert (report.metrics.counters.get("pin.cache.warm_mismatches",
-                                            0)
-                == report.total_warm_mismatches)
-        assert report.total_warm_mismatches \
-            == sum(s.warm_mismatches for s in report.slices)
+        counters = report.metrics.counters
+        lowered = sum(s.lowered_traces for s in report.slices)
+        assert lowered > 0
+        assert counters["pin.jit.lowered_traces"] == lowered
+        assert counters["pin.jit.lowered_ins"] \
+            == sum(s.lowered_ins for s in report.slices)
+        assert counters["pin.jit.private_traces"] \
+            == sum(s.private_traces for s in report.slices)
+        instr = report.instrumentation_summary()
+        assert instr["lowered_traces"] == lowered
+        # The detector's if/then calls keep each slice's trace at its
+        # signature pc private.
+        assert instr["private_traces"] >= report.num_slices - 1

@@ -9,14 +9,15 @@ Properties under test:
 - LRU eviction enforces the size budget without evicting the entry
   just written;
 - the warm-start proof: a second identical run records
-  ``pin.cache.persistent_hits > 0`` and compiles *zero* pilot traces
-  cold, with byte-identical results, for any worker count;
+  ``pin.cache.persistent_hits > 0`` and lowers *zero* shareable pilot
+  traces itself, with byte-identical results, for any worker count;
 - replays and journal resumes go through the same store (the satellite
   fix — they previously bypassed the warm path entirely);
 - two processes hammering one store never observe a torn or invalid
   payload.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -25,13 +26,16 @@ import pytest
 
 from repro.isa import assemble
 from repro.machine import Kernel
+from repro.pin.api import BBL_InsHead, INS_InsertCall
+from repro.pin.args import IARG_END, IARG_UINT64, IPOINT_BEFORE
+from repro.pin.template import TraceTemplate
 from repro.superpin import (damage_store_chains, damage_store_entry,
                             program_digest, replay_recording,
                             run_superpin, store_key, SuperPinConfig,
-                            trace_store_for, TraceStore)
+                            tool_fingerprint, trace_store_for, TraceStore)
 from repro.superpin.journal import damage_journal
-from repro.superpin.sharedcache import WarmPayload, WarmTrace
-from repro.tools import ICount2
+from repro.superpin.sharedcache import TemplatePayload
+from repro.tools import ICount1, ICount2
 from tests.conftest import MULTISLICE
 
 WORKER_MODES = [0, 2]
@@ -47,11 +51,16 @@ def store_dir(tmp_path):
     return str(tmp_path / "store")
 
 
-def _payload(n=3, base=0x100):
+def _templates(n=3, base=0x100):
     return tuple(
-        WarmTrace(address=base + 16 * i, num_ins=4,
-                  source=f"trace_{i}", code=None)
+        TraceTemplate(start=base + 16 * i, words=(i, 1, 2, 3),
+                      forced_cut=None, fall_address=None, bbl_sizes=[4],
+                      stats=(0, 0, 0), body=(), shareable=True)
         for i in range(n))
+
+
+def _payload(n=3, base=0x100, chains=()):
+    return TemplatePayload(_templates(n, base), chains)
 
 
 def _report(program, store, **kwargs):
@@ -72,8 +81,8 @@ def _fingerprint(report):
 
 
 def _pilot_cold(report):
-    pilot = report.slices[0]
-    return pilot.compiles - pilot.warm_starts
+    """Shareable traces the pilot had to lower itself."""
+    return report.slices[0].cold_compiles
 
 
 class TestStoreBasics:
@@ -81,7 +90,8 @@ class TestStoreBasics:
         store = TraceStore(store_dir)
         payload = _payload()
         store.save("k" * 64, payload)
-        assert store.load("k" * 64) == payload
+        loaded = store.load("k" * 64)
+        assert (loaded.blob, loaded.chains) == (payload.blob, payload.chains)
         assert len(store) == 1
 
     def test_missing_key_is_a_miss(self, store_dir):
@@ -90,24 +100,29 @@ class TestStoreBasics:
 
     def test_empty_payload_not_stored(self, store_dir):
         store = TraceStore(store_dir)
-        store.save("k" * 64, ())
+        store.save("k" * 64, TemplatePayload())
         assert len(store) == 0
 
     def test_key_sensitivity(self, program):
         digest = program_digest(program)
-        base = store_key(digest, SuperPinConfig())
-        assert store_key(digest, SuperPinConfig()) == base
-        assert store_key("other-digest", SuperPinConfig()) != base
-        assert store_key(
-            digest, SuperPinConfig(jit_backend="source")) != base
-        assert store_key(
-            digest, SuperPinConfig(spsuppress=True)) != base
+        tool = tool_fingerprint(ICount2())
+
+        def key(config, source=digest, tool_digest=tool):
+            return store_key(source, config, tool_digest)
+
+        base = key(SuperPinConfig())
+        assert key(SuperPinConfig()) == base
+        assert key(SuperPinConfig(), source="other-digest") != base
+        assert key(SuperPinConfig(),
+                   tool_digest=tool_fingerprint(ICount1())) != base
+        assert key(SuperPinConfig(jit_backend="source")) != base
+        assert key(SuperPinConfig(spsuppress=True)) != base
         # The TC2 threshold shapes the persisted promotion chains.
-        assert store_key(digest, SuperPinConfig(sptc2=0)) != base
-        assert store_key(digest, SuperPinConfig(sptc2=64)) != base
+        assert key(SuperPinConfig(sptc2=0)) != base
+        assert key(SuperPinConfig(sptc2=64)) != base
         # Fields that do not shape compiled code do not shape the key.
-        assert store_key(digest, SuperPinConfig(spworkers=2)) == base
-        assert store_key(digest, SuperPinConfig(spmsec=250)) == base
+        assert key(SuperPinConfig(spworkers=2)) == base
+        assert key(SuperPinConfig(spmsec=250)) == base
 
     def test_trace_store_for_gating(self, store_dir):
         assert trace_store_for(SuperPinConfig()) is None
@@ -192,7 +207,8 @@ class TestWarmStartProof:
         assert c2["pin.cache.persistent_hits"] == 1
         assert c2.get("pin.cache.persistent_misses", 0) == 0
         # The acceptance criterion: zero pilot-slice cold compiles on
-        # the warm run (every pilot trace came from the store).
+        # the warm run (every shareable pilot trace came from the
+        # store; only the detector's private trace lowers locally).
         assert _pilot_cold(first) > 0
         assert _pilot_cold(second) == 0
         # And the warm tier is architecturally invisible.
@@ -211,7 +227,8 @@ class TestWarmStartProof:
                                                  store_dir):
         first, _ = _report(program, store_dir)
         key = store_key(program_digest(program),
-                        SuperPinConfig(sptracestore=store_dir))
+                        SuperPinConfig(sptracestore=store_dir),
+                        tool_fingerprint(ICount2()))
         damage_store_entry(store_dir, key)
         second, _ = _report(program, store_dir)
         counters = dict(second.metrics.counters)
@@ -275,9 +292,11 @@ class TestSuperblockChains:
     def test_chains_round_trip(self, store_dir):
         store = TraceStore(store_dir)
         chains = ((0x100, 0x110, 0x120), (0x200,))
-        store.save("k" * 64, WarmPayload(_payload(), chains))
+        store.save("k" * 64, _payload(chains=chains))
         loaded = store.load("k" * 64)
-        assert loaded == _payload()  # tuple contract unchanged
+        assert loaded.blob == _payload().blob
+        assert [t.start for t in loaded.templates] \
+            == [t.start for t in _templates()]
         assert loaded.chains == chains
 
     def test_plain_payload_loads_with_empty_chains(self, store_dir):
@@ -306,7 +325,8 @@ class TestSuperblockChains:
         cold compiles, byte-identical results."""
         first, _ = _report(program, store_dir)
         key = store_key(program_digest(program),
-                        SuperPinConfig(sptracestore=store_dir))
+                        SuperPinConfig(sptracestore=store_dir),
+                        tool_fingerprint(ICount2()))
         damage_store_chains(store_dir, key)
         second, _ = _report(program, store_dir)
         counters = dict(second.metrics.counters)
@@ -321,7 +341,8 @@ class TestSuperblockChains:
     def test_sptc2_off_persists_no_chains(self, program, store_dir):
         _report(program, store_dir, sptc2=0)
         key = store_key(program_digest(program),
-                        SuperPinConfig(sptracestore=store_dir, sptc2=0))
+                        SuperPinConfig(sptracestore=store_dir, sptc2=0),
+                        tool_fingerprint(ICount2()))
         loaded = TraceStore(store_dir).load(key)
         assert loaded is not None
         assert loaded.chains == ()
@@ -330,14 +351,18 @@ class TestSuperblockChains:
 _HAMMER = """
 import os, pickle, sys
 sys.path.insert(0, {src!r})
+from repro.pin.template import TraceTemplate
 from repro.superpin import TraceStore, damage_store_entry
-from repro.superpin.sharedcache import WarmTrace
+from repro.superpin.sharedcache import TemplatePayload
 
 root, seed = sys.argv[1], int(sys.argv[2])
 keys = [chr(ord('a') + i) * 64 for i in range(4)]
-payloads = {{key: tuple(WarmTrace(address=0x100 + 16 * i, num_ins=4,
-                                  source=f"{{key[:1]}}_{{i}}", code=None)
-                        for i in range(3))
+payloads = {{key: TemplatePayload(tuple(
+                TraceTemplate(start=0x100 + 16 * i, words=(ord(key[0]), i),
+                              forced_cut=None, fall_address=None,
+                              bbl_sizes=[2], stats=(0, 0, 0), body=(),
+                              shareable=True)
+                for i in range(3)))
             for key in keys}}
 store = TraceStore(root, limit_bytes=700)
 for round in range(120):
@@ -351,9 +376,127 @@ for round in range(120):
     got = store.load(keys[(round + 2 + seed) % len(keys)])
     if got is not None:
         want = payloads[keys[(round + 2 + seed) % len(keys)]]
-        assert got == want, (got, want)
+        assert (got.blob, got.chains) == (want.blob, want.chains)
 print("clean")
 """
+
+
+class ScaledCount(ICount2):
+    """ICount2 weighting every block by a constructor setting that it
+    weaves into the trace as a constant argument."""
+
+    def __init__(self, weight: int = 1):
+        super().__init__()
+        self.weight = weight
+
+    def instrument_trace(self, trace, vm) -> None:
+        for bbl in trace.bbls:
+            INS_InsertCall(BBL_InsHead(bbl), IPOINT_BEFORE, self.docount,
+                           IARG_UINT64, bbl.num_ins * self.weight,
+                           IARG_END)
+
+
+_EDITED_TOOL = """
+from repro.pin.api import BBL_InsHead, INS_InsertCall
+from repro.pin.args import IARG_END, IARG_UINT64, IPOINT_BEFORE
+from repro.tools import ICount2
+
+
+class EditedCount(ICount2):
+    def instrument_trace(self, trace, vm):
+        for bbl in trace.bbls:
+            INS_InsertCall(BBL_InsHead(bbl), IPOINT_BEFORE, self.docount,
+                           IARG_UINT64, bbl.num_ins * {weight}, IARG_END)
+"""
+
+
+def _run_tool(program, tool, store):
+    config = SuperPinConfig(spmsec=500, clock_hz=10_000, spmetrics=True,
+                            sptracestore=store)
+    report = run_superpin(program, tool, config, kernel=Kernel(seed=42))
+    return (report, tool.report()), dict(report.metrics.counters)
+
+
+class TestToolFingerprint:
+    """Stored templates carry the tool's instrumentation decisions, so
+    a changed tool must never bind a stale entry."""
+
+    def test_reconfigured_tool_misses(self, program, store_dir):
+        cold, _ = _run_tool(program, ScaledCount(weight=3), None)
+        _run_tool(program, ScaledCount(weight=1), store_dir)
+        warm, counters = _run_tool(program, ScaledCount(weight=3),
+                                   store_dir)
+        assert counters["pin.cache.persistent_misses"] == 1
+        assert counters.get("pin.cache.persistent_hits", 0) == 0
+        assert warm[1] == cold[1]
+        assert _fingerprint(warm[0]) == _fingerprint(cold[0])
+        # The same settings hit their own entry.
+        again, counters = _run_tool(program, ScaledCount(weight=3),
+                                    store_dir)
+        assert counters["pin.cache.persistent_hits"] == 1
+        assert again[1] == cold[1]
+
+    def test_edited_tool_module_misses(self, program, store_dir, tmp_path,
+                                       monkeypatch):
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(tmp_path))
+        module_path = tmp_path / "edited_count_tool.py"
+        module_path.write_text(_EDITED_TOOL.format(weight=1))
+        monkeypatch.delitem(sys.modules, "edited_count_tool",
+                            raising=False)
+        module = importlib.import_module("edited_count_tool")
+        first, _ = _run_tool(program, module.EditedCount(), store_dir)
+
+        # Edit instrument_trace in place and reload, as a long-lived
+        # process picking up a changed tool would.
+        module_path.write_text(_EDITED_TOOL.format(weight=30))
+        importlib.invalidate_caches()
+        module = importlib.reload(module)
+        warm, counters = _run_tool(program, module.EditedCount(),
+                                   store_dir)
+        cold, _ = _run_tool(program, module.EditedCount(), None)
+        assert counters["pin.cache.persistent_misses"] == 1
+        assert counters.get("pin.cache.persistent_hits", 0) == 0
+        assert warm[1] == cold[1]
+        assert warm[1] != first[1]
+
+    def test_unfingerprintable_tool_skips_the_store(self, program,
+                                                    store_dir):
+        tool = ICount2()
+        tool.helper = object()  # no canonical form
+        assert tool_fingerprint(tool) is None
+        cold, _ = _run_tool(program, ICount2(), None)
+        report, counters = _run_tool(program, tool, store_dir)
+        assert counters["pin.cache.persistent_unkeyed"] == 1
+        assert not any(name in counters for name in (
+            "pin.cache.persistent_hits", "pin.cache.persistent_misses",
+            "pin.cache.persistent_saves"))
+        assert TraceStore(store_dir).keys() == []
+        assert report[1] == cold[1]
+
+    def test_fingerprint_independent_of_hash_seed(self, program):
+        # Entries are shared across processes, so set-valued settings
+        # (a filter's opcode classes) must not fingerprint by the
+        # process's string-hash order.
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from repro.pin.filter import parse_filter\n"
+            "from repro.superpin import tool_fingerprint\n"
+            "from repro.tools import ICount2\n"
+            "tool = ICount2()\n"
+            "tool.instrument_filter = parse_filter(\n"
+            "    'opcode:mem,opcode:branch,opcode:call,opcode:ret', None)\n"
+            "print(tool_fingerprint(tool))\n")
+        outputs = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            out = subprocess.run(
+                [sys.executable, "-c", script, os.path.abspath(src)],
+                env=env, capture_output=True, text=True, check=True)
+            outputs.add(out.stdout.strip())
+        assert len(outputs) == 1
+        assert len(outputs.pop()) == 64
 
 
 class TestConcurrentHammer:
