@@ -210,8 +210,9 @@ def maybe_inject(plan: FaultPlan | None, index: int, attempt: int,
     must not take the parent down).  Returns the matched ``corrupt`` or
     ``tamper`` spec — for ``corrupt`` the caller substitutes
     :data:`CORRUPT_BLOB` (worker) or raises :class:`CorruptResultFault`
-    (parent); for ``tamper`` it runs the slice and passes the result
-    blob through :func:`tamper_blob` — and None when no fault fires.
+    (parent); for ``tamper`` it runs the slice and falsifies the result
+    blob (:func:`tamper_blob`, worker) or the result object
+    (:func:`tamper_result`, parent) — and None when no fault fires.
     """
     spec = plan.spec_for(index, attempt) if plan is not None else None
     if spec is None:

@@ -36,9 +36,9 @@ Sections (all pickled, protocol :data:`pickle.HIGHEST_PROTOCOL`):
 * ``signatures`` — the ``num_slices - 1`` interior boundary signatures;
 * ``slice_NNNN`` — one ``(Boundary, Interval)`` pair per slice.
 
-Slice specs are unpickled *fresh on every access*: a slice run mutates
-its boundary's COW memory fork, so replaying N tools (or retrying a
-slice) must never share loaded ``Boundary`` objects.
+Slice specs are unpickled *fresh on every access*, so replaying N tools
+(or a time-travel session) never shares loaded ``Boundary`` objects:
+whatever one consumer does to a loaded snapshot cannot reach another.
 """
 
 from __future__ import annotations
@@ -181,8 +181,7 @@ class Recording:
     def slice_spec(self, k: int) -> tuple[Boundary, Interval]:
         """Unpickle slice ``k``'s ``(Boundary, Interval)`` — fresh.
 
-        Every call returns new objects: replay mutates a boundary's COW
-        memory fork, so specs must never be shared across slice runs or
+        Every call returns new objects, so specs are never shared across
         tool replays.
         """
         if k in self.damaged:

@@ -525,8 +525,8 @@ def replay_recording(source, tool, config: SuperPinConfig | None = None,
     sources its boundaries, signatures and recorded syscall streams from
     the verified artifact at ``source``; the master is never re-run (no
     ``control_phase`` or ``signature_phase`` span exists on a replay's
-    trace).  Each tool gets a *fresh* timeline — slice execution mutates
-    boundary COW forks, so nothing loaded is shared between runs.
+    trace).  Each tool gets a *fresh* timeline, so nothing loaded is
+    shared between runs.
 
     Pass a list/tuple of tools to amortize "record once" across many
     analyses: returns a list of reports in tool order.  Under

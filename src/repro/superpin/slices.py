@@ -138,20 +138,19 @@ class SliceResult:
 def run_slice(boundary: Boundary, interval: Interval,
               end_signature: Signature | None,
               template: SliceToolContext, sp: SPControl,
-              config: SuperPinConfig,
-              shared_directory=None, metrics=NULL_METRICS,
+              config: SuperPinConfig, metrics=NULL_METRICS,
               warm=None, export_warm: bool = False,
               trace_templates=None) -> SliceResult:
     """Execute slice ``interval.index`` and return its result.
 
     ``end_signature`` is the next boundary's signature (None for the
-    final slice, which runs to program exit instead).  When
-    ``shared_directory`` is given (the §8 shared-code-cache extension),
-    compile costs are attributed to the first slice that compiled each
-    trace; later slices record reuses instead.  ``metrics`` receives the
-    slice's observability counters (JIT compiles live, cache hit totals
-    folded at slice end); in a worker process it is a worker-local
-    registry whose snapshot the parent merges.
+    final slice, which runs to program exit instead).  The boundary
+    snapshot is never written: the slice runs on a scratch fork of its
+    memory (and forks of its layout and threads), so the same slice can
+    be re-run exactly — a retry, or another tool.  ``metrics`` receives
+    the slice's observability counters (JIT compiles live, cache hit
+    totals folded at slice end); the supervisor passes a slice-local
+    registry and merges it only when the slice succeeds.
 
     ``warm`` is the frozen warm payload (a ``TemplatePayload``, or
     None): its templates seed the slice's template cache and its TC2
@@ -182,8 +181,9 @@ def run_slice(boundary: Boundary, interval: Interval,
     # mutation made through the handler's view.
     handler = PlaybackHandler(list(interval.records), layout, index,
                               thread_manager=manager)
-    process = Process(cpu, boundary.mem_fork, handler)
-    cow_mark = process.mem.cow_faults
+    # Boundary snapshots are fully frozen, so the scratch fork charges
+    # exactly the COW faults a run on the snapshot itself would.
+    process = Process(cpu, boundary.mem_fork.scratch_fork(), handler)
 
     # 2. Build the slice VM with its own cold code cache in the bubble.
     cache = CodeCache(abi.BUBBLE_BASE, abi.BUBBLE_WORDS, metrics=metrics)
@@ -256,7 +256,7 @@ def run_slice(boundary: Boundary, interval: Interval,
         cache_allocated_words=cache.stats.allocated_words,
         replayed_syscalls=handler.replayed,
         emulated_syscalls=handler.emulated,
-        cow_faults=process.mem.cow_faults - cow_mark,
+        cow_faults=process.mem.cow_faults,
         detection=detector.stats if detector else None,
         tool_ctx=ctx,
         exit_code=result.exit_code,
@@ -283,9 +283,6 @@ def run_slice(boundary: Boundary, interval: Interval,
         result_record.warm_exports = export_templates(vm.templates)
         if vm.tc2 is not None:
             result_record.sb_chains = vm.tc2.chains()
-    if shared_directory is not None:
-        from .sharedcache import charge_result
-        charge_result(result_record, shared_directory)
     if metrics.enabled:
         # Hot-path counters are folded once per slice from CacheStats
         # rather than incremented per dispatch.

@@ -1,4 +1,4 @@
-"""Slice supervision: fault isolation for the parallel slice phase.
+"""The slice executor: every slice phase, under one fault policy.
 
 The paper's control process survives misbehaving slices — a slice that
 never detects its ending signature is killed by the runaway guard
@@ -10,39 +10,52 @@ whose *execution* fails — worker crash, hang, corrupted result,
 runaway — can simply be re-run, in another worker or in-process,
 without affecting any other slice.
 
-Supervision wraps :mod:`repro.superpin.parallel` with:
+:func:`supervise_slices` is the only slice-phase executor.  One run
+loop drives every slice through the same ladder; the only branch is
+where an attempt runs:
+
+* **in-process** (``-spworkers 0``, and every fallback attempt):
+  :func:`~repro.superpin.slices.run_slice` on the live objects, with no
+  payload pickle.  In-process attempts read and extend the run's one
+  live template cache, and count into a slice-local metrics registry
+  that is merged only on success.  ``run_slice`` starts every attempt
+  from a scratch fork of the boundary snapshot, so a retry after a
+  mid-run failure starts from the true boundary state;
+* **worker** (``-spworkers N``): the framed pickled payload of
+  :mod:`repro.superpin.parallel` goes to a process pool through a
+  sliding window of at most 2N attempts in flight.
+
+Around the attempts:
 
 * a **wall-clock deadline** per slice, derived from its master
   instruction count plus a configurable floor
   (:func:`slice_deadline`); a worker still running past it is reaped
   (worker processes terminated, pool rebuilt, innocent in-flight
   slices resubmitted without touching their retry budget);
-* **bounded retries with backoff**: a failed slice is re-executed in a
-  fresh worker up to ``-spretries`` times, then once in-process (the
-  sequential fallback), with exponential backoff between retries;
+* **bounded retries with backoff**: a failed slice is re-executed where
+  it ran up to ``-spretries`` times, then once in-process (the
+  fallback), with exponential backoff between retries;
 * **pool reconstruction**: a ``BrokenProcessPool`` (a worker died)
   rebuilds the pool and resubmits every in-flight slice instead of
   aborting the run;
-* a **policy switch** (``-spfaults``): ``failfast`` aborts the run on
-  the first failure, cancelling everything still queued; ``retry``
-  exhausts the retry ladder then raises
-  :class:`~repro.errors.SliceExecutionError`; ``degrade`` records the
-  slice as a hole (:class:`SliceOutcome` with status ``degraded``),
-  merges the survivors in slice order, and completes the run with
-  ``all_exact == False``.
+* a **policy switch** (``-spfaults``): ``failfast`` is the ladder of
+  length one — no retry, no fallback, the pool torn down at once and a
+  :class:`~repro.errors.SliceExecutionError` raised *from* the slice's
+  own exception; ``retry`` exhausts the ladder then raises the same
+  error; ``degrade`` records the slice as a hole (:class:`SliceOutcome`
+  with status ``degraded``), merges the survivors in slice order, and
+  completes the run with ``all_exact == False``.
 
 Every attempt is recorded as a :class:`SliceAttempt` on the slice's
 :class:`SliceOutcome`, which lands on ``SuperPinReport.slice_outcomes``
 — the structured answer to "what happened to slice k and why".
 
-Retries are bit-exact: worker attempts re-materialize the slice from
-its original pickled payload, and the in-process fallback runs the
-*same* payload through the same worker entry point (pickle round trip
-included), so a recovered slice's result — counters, cow faults,
-compile log — is identical to a clean first-attempt run.  Sequential
-supervision (``-spworkers 0`` with a non-failfast policy or a fault
-plan) uses the identical payload path, which is what makes the
-``spworkers in {0, N}`` parity properties hold under injected faults.
+Retries are exact: worker attempts re-materialize the slice from its
+original pickled payload, and in-process attempts re-run it from the
+untouched boundary snapshot, so a recovered slice's result — counters,
+cow faults, compile log — is identical to a clean first-attempt run.
+Only host compile work (``lowered_*``, ``warm_starts``) depends on
+which templates an attempt found cached.
 
 Deadlines are enforced by reaping *worker* attempts; an in-process
 attempt cannot be preempted by a single-threaded parent, so only
@@ -58,22 +71,24 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..errors import SliceExecutionError
-from ..obs.metrics import NULL_METRICS
+from ..obs.metrics import metrics_for, NULL_METRICS
 from ..obs.tracer import ensure_tracer, TrackAllocator
+from ..pin.template import TemplateCache
 from .api import SliceToolContext, SPControl
 from .control import Interval, MasterTimeline
 from .faults import (CORRUPT_BLOB, CorruptResultFault, FaultKind, FaultPlan,
-                     maybe_inject, tamper_blob)
+                     maybe_inject, tamper_blob, tamper_result)
 from .journal import unframe_blob
-from .parallel import (SliceTimings, _slice_payload, _worker_run_slice,
-                       execute_slices, slice_timings_from_records,
-                       synthesize_slice_spans)
+from .parallel import (_end_signature, _slice_payload, _worker_run_slice,
+                       frame_result, SliceTimings,
+                       slice_timings_from_records, synthesize_slice_spans)
 from .sharedcache import TemplateStore
 from .sharedmem import resolve_shared_areas
 from .signature import Signature
-from .slices import SliceResult
+from .slices import run_slice, SliceResult
 from .switches import SuperPinConfig
 
 
@@ -149,13 +164,17 @@ def slice_deadline(interval: Interval, config: SuperPinConfig) -> float:
             + interval.instructions * config.slice_deadline_per_ins)
 
 
-def _attempt_slice(payload: bytes, index: int, attempt: int,
-                   plan: FaultPlan | None, where: str = "worker") -> bytes:
-    """Execute one slice attempt: fault injection, then the real run.
+def _attempt_slice(run, index: int, attempt: int, plan: FaultPlan | None,
+                   where: str):
+    """Run one slice attempt under the fault plan.
 
-    This is both the pool entry point (``where == "worker"``) and the
-    in-process fallback (``where == "inprocess"``) — one code path, so
-    a fallback result is bit-identical to a worker result.
+    The one injection entry for both sites: ``run`` produces a framed
+    result blob in a worker (``where == "worker"``) or a
+    :class:`~repro.superpin.slices.SliceResult` in-process
+    (``where == "inprocess"``).  A ``corrupt`` fault replaces a
+    worker's blob with garbage and raises in-process; a ``tamper``
+    fault falsifies the blob (:func:`tamper_blob`) or the result object
+    (:func:`tamper_result`), silently.
     """
     spec = maybe_inject(plan, index, attempt, where)
     if spec is not None and spec.kind is FaultKind.CORRUPT:
@@ -163,12 +182,22 @@ def _attempt_slice(payload: bytes, index: int, attempt: int,
             return CORRUPT_BLOB
         raise CorruptResultFault(
             f"injected corrupt result: slice {index} attempt {attempt}")
-    blob = _worker_run_slice(payload)
+    out = run()
     if spec is not None and spec.kind is FaultKind.TAMPER:
         # Silent corruption: the attempt looks like a clean success to
         # the supervisor; only the -spaudit oracle can catch it.
-        blob = tamper_blob(blob)
-    return blob
+        if where == "worker":
+            out = tamper_blob(out)
+        else:
+            tamper_result(out)
+    return out
+
+
+def _worker_attempt(payload: bytes, index: int, attempt: int,
+                    plan: FaultPlan | None) -> bytes:
+    """Process-pool entry point: one worker attempt of one slice."""
+    return _attempt_slice(partial(_worker_run_slice, payload), index,
+                          attempt, plan, "worker")
 
 
 def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
@@ -179,12 +208,13 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
                      on_progress=None) -> SupervisedSlices:
     """Run the slice phase under the configured fault policy.
 
-    With the default ``failfast`` policy, no fault plan and no
-    durability hooks this is a thin wrapper over
-    :func:`~repro.superpin.parallel.execute_slices` (no supervision
-    overhead on the happy path); otherwise the supervised sequential or
-    parallel executor runs.  Either way the phase's spans land in
-    ``tracer`` and its counters in ``metrics``.
+    Returns surviving results in slice order (regardless of completion
+    order), per-slice wall-clock timings — a view over the spans this
+    call emitted into ``tracer`` (a private tracer is used when the
+    caller passes none) — and one :class:`SliceOutcome` per slice.  The
+    phase's counters land in ``metrics``.  Results are functionally
+    identical for any worker count and policy; the parity is enforced
+    by the test suite.
 
     Durability hooks:
 
@@ -203,37 +233,16 @@ def supervise_slices(timeline: MasterTimeline, signatures: list[Signature],
       (pilot included) starts warm and the pilot protocol is skipped.
     * ``warm_store`` — the
       :class:`~repro.superpin.sharedcache.TemplateStore` the pilot's
-      exports fold into; with it every slice exports the templates it
-      lowered, so the runtime can persist them all.
+      exports fold into; with it every slice's shareable templates are
+      kept, so the runtime can persist them all.
     * ``on_progress`` — parent-side ``("slice", {completed, total})``
       callback streamed to serve-daemon clients.
     """
-    if (config.spfaults == "failfast" and config.fault_plan is None
-            and journal is None and not preloaded and not damaged):
-        results, timings = execute_slices(timeline, signatures, template,
-                                          sp, config, tracer=tracer,
-                                          metrics=metrics, prewarm=prewarm,
-                                          warm_store=warm_store,
-                                          on_progress=on_progress)
-        where = "worker" if config.spworkers > 0 else "inprocess"
-        outcomes = [
-            SliceOutcome(
-                index=k, status="ok",
-                attempts=[SliceAttempt(number=1, where=where,
-                                       seconds=timings[k].total_seconds)],
-                deadline_seconds=slice_deadline(interval, config))
-            for k, interval in enumerate(timeline.intervals)]
-        return SupervisedSlices(results=results, timings=timings,
-                                outcomes=outcomes)
-    supervisor = _Supervisor(timeline, signatures, template, sp, config,
-                             tracer=tracer, metrics=metrics,
-                             journal=journal, preloaded=preloaded,
-                             damaged=damaged, prewarm=prewarm,
-                             warm_store=warm_store,
-                             on_progress=on_progress)
-    if config.spworkers <= 0:
-        return supervisor.run_sequential()
-    return supervisor.run_parallel()
+    return _Supervisor(timeline, signatures, template, sp, config,
+                       tracer=tracer, metrics=metrics, journal=journal,
+                       preloaded=preloaded, damaged=damaged,
+                       prewarm=prewarm, warm_store=warm_store,
+                       on_progress=on_progress).run()
 
 
 @dataclass
@@ -246,7 +255,7 @@ class _Flight:
 
 
 class _Supervisor:
-    """One supervised slice phase: payloads, attempts, policy."""
+    """One slice phase: attempts, the retry ladder, the warm payload."""
 
     def __init__(self, timeline: MasterTimeline,
                  signatures: list[Signature], template: SliceToolContext,
@@ -254,22 +263,32 @@ class _Supervisor:
                  metrics=NULL_METRICS, journal=None, preloaded=None,
                  damaged=None, prewarm=None, warm_store=None,
                  on_progress=None):
+        self._timeline = timeline
+        self._signatures = signatures
+        self._template = template
         self.sp = sp
         self.config = config
         self.tracer = ensure_tracer(tracer)
         self.metrics = metrics
+        self.journal = journal
         self.warm_store = warm_store
         self.on_progress = on_progress
+        self.plan: FaultPlan | None = config.fault_plan
+        self.n_slices = len(timeline.intervals)
         self._mark = self.tracer.mark()
         self._tracks = TrackAllocator()
-        self.plan: FaultPlan | None = config.fault_plan
-        self.journal = journal
-        self.n_slices = len(timeline.intervals)
         self.outcomes = [
             SliceOutcome(index=k,
                          deadline_seconds=slice_deadline(interval, config))
             for k, interval in enumerate(timeline.intervals)]
         self.results: dict[int, SliceResult] = {}
+        #: Per-slice execution counter — the attempt numbers the fault
+        #: plan sees.  Resubmissions after a neighbour's reap re-run the
+        #: *same* attempt number (the original never got to finish).
+        self.executions = [0] * self.n_slices
+        #: Per-slice charged failures; the retry budget compares
+        #: against ``spretries``.
+        self.failures = [0] * self.n_slices
         # Damaged recording sections degrade their slices upfront: the
         # artifact has no trustworthy spec for them, so they are never
         # attempted — the same hole a degraded execution leaves.
@@ -284,51 +303,25 @@ class _Supervisor:
         for k, blob in sorted((preloaded or {}).items()):
             if 0 <= k < self.n_slices and self._todo(k):
                 self._adopt(k, blob)
-        #: Per-slice execution counter — the attempt numbers the fault
-        #: plan sees.  Resubmissions after a neighbour's reap re-run the
-        #: *same* attempt number (the original never got to finish).
-        self.executions = [0] * self.n_slices
-        #: Per-slice charged failures; the retry budget compares
-        #: against ``spretries``.
-        self.failures = [0] * self.n_slices
-        self._pool: ProcessPoolExecutor | None = None
-        self._timeline = timeline
-        self._signatures = signatures
-        self._template = template
         #: Warm-cache pilot protocol: slice 0 runs (and, if needed,
-        #: retries) to resolution first; its exports freeze the warm
-        #: payload baked into every later slice's pickled payload.
-        #: Retries re-run the slice's original payload, so a retried
-        #: slice automatically re-receives its warm set.  A persistent
-        #: trace-store hit (``prewarm``) replaces the protocol wholesale:
-        #: every slice — the pilot included — bakes the stored payload
-        #: in, so no slice compiles the shared working set cold.
-        warmcache = config.spwarmcache
-        self._pilot = (warmcache and prewarm is None
+        #: retries) to resolution first; its exports and TC2 chains
+        #: freeze :attr:`warm`, the payload every later slice receives
+        #: — so results match for any worker count.  A persistent
+        #: trace-store hit (``prewarm``) replaces the protocol: every
+        #: slice, the pilot included, starts from the stored payload.
+        self._pilot = (config.spwarmcache and prewarm is None
                        and self.n_slices > 1)
-        self.payloads: list[bytes | None] = [None] * self.n_slices
-        if self._pilot:
-            if self._pilot_resolved():
-                # The pilot arrived from the journal (or was degraded):
-                # its exports are intact in the adopted result, so the
-                # warm payload freezes without re-running slice 0.
-                self._release_rest()
-            else:
-                self.payloads[0] = self._make_payload(0, warm=None,
-                                                      export_warm=True)
-        else:
-            warm = prewarm if warmcache else None
-            for k in range(self.n_slices):
-                if self._todo(k):
-                    self.payloads[k] = self._make_payload(
-                        k, warm=warm, export_warm=warm_store is not None)
-
-    def _make_payload(self, k: int, warm=None,
-                      export_warm: bool = False) -> bytes:
-        return _slice_payload(self._timeline, self._signatures,
-                              self._template, self.sp, self.config, k,
-                              self.tracer, warm=warm,
-                              export_warm=export_warm)
+        self.warm = prewarm if config.spwarmcache else None
+        #: The run's one live template cache, shared by every in-process
+        #: attempt (created on first use, seeded from :attr:`warm`).
+        self._templates: TemplateCache | None = None
+        #: 0 runs every attempt in-process; else the pool's width.
+        self._workers = min(config.spworkers, self.n_slices)
+        self._pool: ProcessPoolExecutor | None = None
+        self._flights: dict = {}
+        #: Worker payloads, pickled on first submit and kept for retries.
+        self._payloads: list[bytes | None] = [None] * self.n_slices
+        self._pending: deque[int] = deque()
 
     def _todo(self, k: int) -> bool:
         """True while slice ``k`` still needs an execution attempt."""
@@ -368,177 +361,41 @@ class _Supervisor:
         return 0 in self.results or self.outcomes[0].status == "degraded"
 
     def _release_rest(self) -> None:
-        """Pilot resolved: freeze the warm payload, build the rest.
+        """Pilot resolved: freeze the warm payload, queue the rest.
 
         A degraded pilot (no result) leaves no payload — later slices
-        start without one and each lowers its own working set.
+        start without one rather than wait for exports that never come.
         """
-        warm = None
         if 0 in self.results:
             store = self.warm_store if self.warm_store is not None \
                 else TemplateStore()
-            warm = store.fold_pilot(self.results[0])
-        for k in range(1, self.n_slices):
-            if self._todo(k):
-                self.payloads[k] = self._make_payload(
-                    k, warm=warm, export_warm=self.warm_store is not None)
+            self.warm = store.fold_pilot(self.results[0])
         self._pilot = False
+        self._pending.extend(k for k in range(1, self.n_slices)
+                             if self._todo(k))
 
-    # -- shared bookkeeping ------------------------------------------------
+    # -- the run loop --------------------------------------------------------
 
-    def _record_success(self, k: int, attempt: int, where: str,
-                        seconds: float, blob: bytes) -> None:
-        """Decode a result blob and file it; raises if the blob is bad."""
-        done_at = self.tracer.now()
-        with self.tracer.span("slice.pickle", cat="slice",
-                              args={"slice": k, "op": "decode"}):
-            with resolve_shared_areas(self.sp.areas):
-                try:
-                    (result, fork_seconds, run_seconds,
-                     snapshot) = pickle.loads(unframe_blob(blob))
-                except CorruptResultFault:
-                    raise
-                except Exception as exc:
-                    raise CorruptResultFault(
-                        f"slice {k} attempt {attempt} returned an "
-                        f"undecodable result blob: {exc}") from exc
-        self.metrics.merge(snapshot)
-        synthesize_slice_spans(self.tracer, self._tracks, k, done_at,
-                               fork_seconds, run_seconds,
-                               args={"attempt": attempt, "where": where})
-        self.results[k] = result
-        self.outcomes[k].attempts.append(
-            SliceAttempt(number=attempt, where=where, seconds=seconds))
-        self._notify()
-        if self.journal is not None:
-            # Write-ahead: the framed blob lands durably *before* the
-            # run proceeds (appended pre-fold, so an adopted pilot still
-            # carries its warm exports on resume).
-            self.journal.append(k, blob)
-
-    def _record_failure(self, k: int, attempt: int, where: str,
-                        seconds: float, error: BaseException | str,
-                        charged: bool = True) -> None:
-        self.outcomes[k].attempts.append(
-            SliceAttempt(number=attempt, where=where, seconds=seconds,
-                         error=str(error), charged=charged))
-        now = self.tracer.now()
-        self.tracer.add_span(
-            "slice.attempt", max(0.0, now - seconds), now, cat="attempt",
-            track=self._tracks.place(max(0.0, now - seconds), now),
-            args={"slice": k, "attempt": attempt, "where": where,
-                  "ok": False, "charged": charged, "error": str(error)})
-        if charged:
-            self.failures[k] += 1
-            self.metrics.inc("superpin.supervisor.failed_attempts")
-
-    def _backoff(self, k: int) -> None:
-        base = self.config.slice_retry_backoff
-        if base > 0:
-            time.sleep(base * (2 ** max(0, self.failures[k] - 1)))
-
-    def _fail_fast(self, k: int, error: BaseException) -> None:
-        raise SliceExecutionError(
-            f"slice {k} failed under -spfaults failfast: {error}",
-            index=k, attempts=self.outcomes[k].attempts) from error
-
-    def _exhausted(self, k: int, error: BaseException) -> None:
-        """All attempts spent: raise (retry) or degrade (degrade)."""
-        if self.config.spfaults == "retry":
-            raise SliceExecutionError(
-                f"slice {k} failed after "
-                f"{self.outcomes[k].num_attempts} attempts: {error}",
-                index=k, attempts=self.outcomes[k].attempts) from error
-        self.outcomes[k].status = "degraded"
-        self.outcomes[k].error = str(error)
-        self.metrics.inc("superpin.supervisor.degraded_slices")
-        self.tracer.instant("slice.degraded", cat="supervisor",
-                            args={"slice": k, "error": str(error)})
-
-    def _run_inprocess(self, k: int) -> None:
-        """Final fallback: one in-process attempt from the payload."""
-        self.executions[k] += 1
-        attempt = self.executions[k]
-        self.metrics.inc("superpin.supervisor.inprocess_fallbacks")
-        t0 = time.perf_counter()
-        try:
-            blob = _attempt_slice(self.payloads[k], k, attempt, self.plan,
-                                  where="inprocess")
-            self._record_success(k, attempt, "inprocess",
-                                 time.perf_counter() - t0, blob)
-        except Exception as exc:
-            self._record_failure(k, attempt, "inprocess",
-                                 time.perf_counter() - t0, exc)
-            self._exhausted(k, exc)
-
-    def _finish(self) -> SupervisedSlices:
-        ordered = [self.results[k] for k in sorted(self.results)]
-        timings = slice_timings_from_records(
-            self.tracer.records_since(self._mark), self.n_slices,
-            metrics=self.metrics)
-        for track in range(1, self._tracks.num_tracks + 1):
-            self.tracer.name_track(track, f"slice lane {track}")
-        return SupervisedSlices(results=ordered, timings=timings,
-                                outcomes=self.outcomes)
-
-    # -- sequential supervision (-spworkers 0) -----------------------------
-
-    def run_sequential(self) -> SupervisedSlices:
-        """All attempts in-process, same payload path as the workers.
-
-        The attempt budget matches the parallel ladder (1 initial +
-        ``spretries`` retries + 1 fallback) so a fault plan fires on the
-        same attempt numbers regardless of worker count.
-        """
-        for k in range(self.n_slices):
-            if not self._todo(k):
-                continue
-            if self.payloads[k] is None:
-                self._release_rest()
-            while True:
-                self.executions[k] += 1
-                attempt = self.executions[k]
-                t0 = time.perf_counter()
-                try:
-                    blob = _attempt_slice(self.payloads[k], k, attempt,
-                                          self.plan, where="inprocess")
-                    self._record_success(k, attempt, "inprocess",
-                                         time.perf_counter() - t0, blob)
-                    break
-                except Exception as exc:
-                    self._record_failure(k, attempt, "inprocess",
-                                         time.perf_counter() - t0, exc)
-                    if self.config.spfaults == "failfast":
-                        self._fail_fast(k, exc)
-                    # +1: the parallel ladder's in-process fallback slot.
-                    if self.failures[k] > self.config.spretries + 1:
-                        self._exhausted(k, exc)
-                        break
-                    self._backoff(k)
-        return self._finish()
-
-    # -- parallel supervision (-spworkers N) -------------------------------
-
-    def run_parallel(self) -> SupervisedSlices:
-        self._workers = min(self.config.spworkers, self.n_slices) or 1
-        self._pool = ProcessPoolExecutor(max_workers=self._workers)
-        # The pilot runs to resolution alone; _release_rest then queues
-        # the remaining slices with the frozen warm payload.
-        self._pending: deque[int] = deque(
-            [0] if self._pilot
-            else [k for k in range(self.n_slices) if self._todo(k)])
-        self._flights: dict = {}
+    def run(self) -> SupervisedSlices:
+        self._pending.extend(
+            k for k in ([0] if self._pilot else range(self.n_slices))
+            if self._todo(k))
+        if self._workers:
+            self._pool = ProcessPoolExecutor(max_workers=self._workers)
         try:
             while self._pending or self._flights or self._pilot:
                 if self._pilot and self._pilot_resolved():
                     self._release_rest()
-                    self._pending.extend(
-                        k for k in range(1, self.n_slices)
-                        if self._todo(k))
-                # Sliding window: at most `workers` futures in flight,
-                # so every submitted attempt is (approximately) running
-                # and its deadline clock is fair.
-                while self._pending and len(self._flights) < self._workers:
+                if not self._workers:
+                    if self._pending:
+                        self._run_inprocess(self._pending.popleft())
+                    continue
+                # Sliding window of two attempts per worker: one running
+                # and one queued behind it, so a freed worker never idles
+                # waiting for the parent, and a deadline clock starts at
+                # most about one slice before its attempt runs.
+                while (self._pending
+                       and len(self._flights) < 2 * self._workers):
                     self._submit(self._pending.popleft())
                 if not self._flights:
                     # Everything left was adopted or degraded; loop
@@ -559,25 +416,123 @@ class _Supervisor:
         except BaseException:
             self._teardown(self._pool, self._flights)
             raise
-        self._pool.shutdown()
+        if self._pool is not None:
+            self._pool.shutdown()
         return self._finish()
+
+    def _finish(self) -> SupervisedSlices:
+        if self.warm_store is not None and self._templates is not None:
+            self.warm_store.collect(self._templates.templates(
+                added_only=True))
+        ordered = [self.results[k] for k in sorted(self.results)]
+        timings = slice_timings_from_records(
+            self.tracer.records_since(self._mark), self.n_slices,
+            metrics=self.metrics)
+        for track in range(1, self._tracks.num_tracks + 1):
+            self.tracer.name_track(track, f"slice lane {track}")
+        return SupervisedSlices(results=ordered, timings=timings,
+                                outcomes=self.outcomes)
+
+    # -- attempts ------------------------------------------------------------
+
+    def _run_inprocess(self, k: int) -> None:
+        """One in-process attempt of slice ``k`` on the live objects."""
+        self.executions[k] += 1
+        attempt = self.executions[k]
+        metrics = metrics_for(self.metrics.enabled)
+        t0 = time.perf_counter()
+        try:
+            result = _attempt_slice(partial(self._run_live, k, metrics), k,
+                                    attempt, self.plan, "inprocess")
+        except Exception as exc:
+            self._record_failure(k, attempt, "inprocess",
+                                 time.perf_counter() - t0, exc)
+            self._after_failure(k, exc)
+            return
+        seconds = time.perf_counter() - t0
+        synthesize_slice_spans(self.tracer, self._tracks, k,
+                               self.tracer.now(), 0.0, seconds,
+                               args={"attempt": attempt,
+                                     "where": "inprocess"})
+        snapshot = metrics.snapshot()
+        blob = None
+        if self.journal is not None:
+            with self.tracer.span("slice.pickle", cat="slice",
+                                  args={"slice": k, "op": "encode"}):
+                blob = frame_result(result, 0.0, seconds, snapshot)
+        self.metrics.merge(snapshot)
+        self._file(k, attempt, "inprocess", seconds, result, blob)
+
+    def _run_live(self, k: int, metrics) -> SliceResult:
+        if self._templates is None and self.config.spwarmcache:
+            self._templates = TemplateCache(
+                self.warm.templates if self.warm is not None else ())
+        return run_slice(self._timeline.boundaries[k],
+                         self._timeline.intervals[k],
+                         _end_signature(self._signatures, k),
+                         self._template, self.sp, self.config,
+                         metrics=metrics, warm=self.warm,
+                         export_warm=self._pilot and k == 0,
+                         trace_templates=self._templates)
 
     def _submit(self, k: int, attempt: int | None = None) -> None:
         """Launch one worker attempt (new attempt number unless given)."""
         if attempt is None:
             self.executions[k] += 1
             attempt = self.executions[k]
+        if self._payloads[k] is None:
+            self._payloads[k] = _slice_payload(
+                self._timeline, self._signatures, self._template, self.sp,
+                self.config, k, self.tracer, warm=self.warm,
+                export_warm=(self._pilot and k == 0)
+                or self.warm_store is not None)
         try:
-            future = self._pool.submit(_attempt_slice, self.payloads[k], k,
-                                       attempt, self.plan)
+            future = self._pool.submit(_worker_attempt, self._payloads[k],
+                                       k, attempt, self.plan)
         except (BrokenProcessPool, RuntimeError):
             # The pool died between bookkeeping and submit; rebuild and
             # try once more (a second failure propagates).
             self._rebuild_pool()
-            future = self._pool.submit(_attempt_slice, self.payloads[k], k,
-                                       attempt, self.plan)
+            future = self._pool.submit(_worker_attempt, self._payloads[k],
+                                       k, attempt, self.plan)
         self._flights[future] = _Flight(index=k, attempt=attempt,
                                         started=time.perf_counter())
+
+    def _collect(self, k: int, attempt: int, seconds: float,
+                 blob: bytes) -> None:
+        """Decode a worker's result blob and file it; raises if bad."""
+        done_at = self.tracer.now()
+        with self.tracer.span("slice.pickle", cat="slice",
+                              args={"slice": k, "op": "decode"}):
+            with resolve_shared_areas(self.sp.areas):
+                try:
+                    (result, fork_seconds, run_seconds,
+                     snapshot) = pickle.loads(unframe_blob(blob))
+                except CorruptResultFault:
+                    raise
+                except Exception as exc:
+                    raise CorruptResultFault(
+                        f"slice {k} attempt {attempt} returned an "
+                        f"undecodable result blob: {exc}") from exc
+        self.metrics.merge(snapshot)
+        synthesize_slice_spans(self.tracer, self._tracks, k, done_at,
+                               fork_seconds, run_seconds,
+                               args={"attempt": attempt, "where": "worker"})
+        self._file(k, attempt, "worker", seconds, result, blob)
+
+    def _file(self, k: int, attempt: int, where: str, seconds: float,
+              result: SliceResult, blob: bytes | None) -> None:
+        """A slice succeeded: keep its result, journal its blob."""
+        self.results[k] = result
+        self._payloads[k] = None
+        self.outcomes[k].attempts.append(
+            SliceAttempt(number=attempt, where=where, seconds=seconds))
+        self._notify()
+        if self.journal is not None:
+            # Write-ahead: the framed blob lands durably *before* the
+            # run proceeds (appended pre-fold, so an adopted pilot still
+            # carries its warm exports on resume).
+            self.journal.append(k, blob)
 
     def _process_done(self, done) -> None:
         for future in done:
@@ -587,8 +542,7 @@ class _Supervisor:
             k, attempt = flight.index, flight.attempt
             seconds = time.perf_counter() - flight.started
             try:
-                blob = future.result()
-                self._record_success(k, attempt, "worker", seconds, blob)
+                self._collect(k, attempt, seconds, future.result())
             except BrokenProcessPool as exc:
                 # A worker died; every in-flight future died with it and
                 # the culprit is unknowable, so all of them are charged
@@ -604,26 +558,71 @@ class _Supervisor:
                         "worker process died (process pool broken)")
                     self._after_failure(casualty.index, exc)
                 return
-            except SliceExecutionError:
-                raise
             except Exception as exc:
                 self._record_failure(k, attempt, "worker", seconds, exc)
                 self._after_failure(k, exc)
 
+    # -- the retry ladder ----------------------------------------------------
+
+    def _record_failure(self, k: int, attempt: int, where: str,
+                        seconds: float, error: BaseException | str,
+                        charged: bool = True) -> None:
+        self.outcomes[k].attempts.append(
+            SliceAttempt(number=attempt, where=where, seconds=seconds,
+                         error=str(error), charged=charged))
+        now = self.tracer.now()
+        self.tracer.add_span(
+            "slice.attempt", max(0.0, now - seconds), now, cat="attempt",
+            track=self._tracks.place(max(0.0, now - seconds), now),
+            args={"slice": k, "attempt": attempt, "where": where,
+                  "ok": False, "charged": charged, "error": str(error)})
+        if charged:
+            self.failures[k] += 1
+            self.metrics.inc("superpin.supervisor.failed_attempts")
+
     def _after_failure(self, k: int, error: BaseException) -> None:
-        """Route a charged failure through the policy ladder."""
+        """Route a charged failure through the policy ladder.
+
+        ``1 + spretries`` attempts where the slice runs, then one
+        in-process fallback, then the policy's last word; ``failfast``
+        stops at the first rung (the run loop tears the pool down).
+        """
         if self.config.spfaults == "failfast":
-            self._teardown(self._pool, self._flights)
-            self._fail_fast(k, error)
+            raise SliceExecutionError(
+                f"slice {k} failed under -spfaults failfast: {error}",
+                index=k, attempts=self.outcomes[k].attempts) from error
         if self.failures[k] <= self.config.spretries:
             self.metrics.inc("superpin.supervisor.retries")
             self.tracer.instant("slice.retry", cat="supervisor",
                                 args={"slice": k,
                                       "failures": self.failures[k]})
             self._backoff(k)
-            self._pending.append(k)
-        else:
+            self._pending.appendleft(k)
+        elif self.failures[k] == self.config.spretries + 1:
+            self.metrics.inc("superpin.supervisor.inprocess_fallbacks")
             self._run_inprocess(k)
+        else:
+            self._exhausted(k, error)
+
+    def _backoff(self, k: int) -> None:
+        base = self.config.slice_retry_backoff
+        if base > 0:
+            time.sleep(base * (2 ** max(0, self.failures[k] - 1)))
+
+    def _exhausted(self, k: int, error: BaseException) -> None:
+        """All attempts spent: raise (retry) or degrade (degrade)."""
+        if self.config.spfaults == "retry":
+            raise SliceExecutionError(
+                f"slice {k} failed after "
+                f"{self.outcomes[k].num_attempts} attempts: {error}",
+                index=k, attempts=self.outcomes[k].attempts) from error
+        self.outcomes[k].status = "degraded"
+        self.outcomes[k].error = str(error)
+        self.metrics.inc("superpin.supervisor.degraded_slices")
+        self.tracer.instant("slice.degraded", cat="supervisor",
+                            args={"slice": k, "error": str(error)})
+
+    # -- the pool ------------------------------------------------------------
 
     def _reap_expired(self) -> None:
         """Kill the pool if any in-flight slice blew its deadline.
@@ -676,11 +675,11 @@ class _Supervisor:
     def _rebuild_pool(self) -> None:
         self.metrics.inc("superpin.supervisor.pool_rebuilds")
         self.tracer.instant("pool.rebuild", cat="supervisor")
-        self._teardown(self._pool, None, kill=True)
+        self._teardown(self._pool, None)
         self._pool = ProcessPoolExecutor(max_workers=self._workers)
 
     @staticmethod
-    def _teardown(pool, flights, kill: bool = True) -> None:
+    def _teardown(pool, flights) -> None:
         """Shut a pool down promptly: cancel queued work, kill workers.
 
         ``shutdown(cancel_futures=True)`` alone would wait for running
@@ -694,15 +693,13 @@ class _Supervisor:
         if flights:
             for future in flights:
                 future.cancel()
-        processes = []
-        if kill:
-            try:
-                processes = list((getattr(pool, "_processes", None)
-                                  or {}).values())
-                for process in processes:
-                    process.terminate()
-            except Exception:
-                processes = []
+        try:
+            processes = list((getattr(pool, "_processes", None)
+                              or {}).values())
+            for process in processes:
+                process.terminate()
+        except Exception:
+            processes = []
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:

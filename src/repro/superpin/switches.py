@@ -15,7 +15,7 @@ Switch                  Meaning
                         (default) runs slices sequentially in-process
 ``-spfaults <policy>``  slice fault policy: ``failfast`` (default),
                         ``retry`` or ``degrade``
-``-spretries <value>``  worker re-executions per failed slice before the
+``-spretries <value>``  re-executions per failed slice before the
                         in-process fallback (policies retry/degrade)
 ``-spdeadline <secs>``  wall-clock deadline floor per slice; the full
                         deadline adds a per-instruction allowance
@@ -142,14 +142,15 @@ class SuperPinConfig:
     spworkers: int = field(default_factory=_default_spworkers)
     # --- slice supervision (fault isolation for the slice phase) ----------
     #: Fault policy for the slice phase: ``failfast`` aborts the run on
-    #: the first slice failure (cancelling everything still queued);
-    #: ``retry`` re-executes a failed slice up to ``spretries`` times in
-    #: fresh workers, then once in-process, then raises; ``degrade``
+    #: the first slice failure (cancelling everything still queued) with
+    #: a ``SliceExecutionError`` raised from the slice's own error;
+    #: ``retry`` re-executes a failed slice up to ``spretries`` times
+    #: where it ran, then once in-process, then raises; ``degrade``
     #: retries the same way but on final failure records the slice as a
     #: hole and completes the run with the surviving slices.
     spfaults: str = field(default_factory=_default_spfaults)
-    #: Worker re-executions per failed slice before the in-process
-    #: fallback (policies ``retry``/``degrade``).
+    #: Re-executions per failed slice before the in-process fallback
+    #: (policies ``retry``/``degrade``).
     spretries: int = 2
     #: Wall-clock deadline floor per slice, in host seconds.
     slice_deadline_floor: float = 5.0

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import InstrumentationError, RunawaySliceError
+from repro.errors import (InstrumentationError, RunawaySliceError,
+                          SliceExecutionError)
 from repro.isa import abi, assemble
 from repro.machine import Kernel
 from repro.pin import Pintool
@@ -109,7 +110,9 @@ class TestRunaway:
 
     Depending on what the slice meets first, that is either a
     DivergenceError (an un-recorded syscall) or a RunawaySliceError
-    (instruction budget exhausted).  Both paths are covered.
+    (instruction budget exhausted).  Both paths are covered; under
+    ``-spfaults failfast`` each surfaces as the ``SliceExecutionError``
+    raised from it.
     """
 
     @staticmethod
@@ -133,11 +136,12 @@ class TestRunaway:
         original, sabotaged = self._sabotage(parallel_mod)
         parallel_mod.record_boundary_signature = sabotaged
         try:
-            with pytest.raises(DivergenceError):
+            with pytest.raises(SliceExecutionError) as info:
                 run_superpin(multislice_program, ICount2(),
                              SuperPinConfig(spmsec=500, clock_hz=10_000,
                                             spfaults="failfast"),
                              kernel=Kernel(seed=42))
+            assert isinstance(info.value.__cause__, DivergenceError)
         finally:
             parallel_mod.record_boundary_signature = original
 
@@ -158,11 +162,12 @@ lp: addi t0, t0, 1
         original, sabotaged = self._sabotage(parallel_mod)
         parallel_mod.record_boundary_signature = sabotaged
         try:
-            with pytest.raises(RunawaySliceError):
+            with pytest.raises(SliceExecutionError) as info:
                 run_superpin(program, ICount2(),
                              SuperPinConfig(spmsec=1000, clock_hz=10_000,
                                             spfaults="failfast"),
                              kernel=Kernel(seed=42))
+            assert isinstance(info.value.__cause__, RunawaySliceError)
         finally:
             parallel_mod.record_boundary_signature = original
 

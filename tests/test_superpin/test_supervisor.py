@@ -5,24 +5,84 @@ Every failure here is *injected* through the deterministic
 run in CI on every push, not just in anger.
 """
 
+import dataclasses
 import time
 
 import pytest
 
-from repro.errors import (ConfigError, RunawaySliceError,
+from repro.errors import (ConfigError, DivergenceError, RunawaySliceError,
                           SliceDeadlineError, SliceExecutionError)
 from repro.isa import assemble
 from repro.machine import Kernel
-from repro.superpin import (FaultKind, FaultPlan, FaultSpec, run_superpin,
-                            slice_deadline, SuperPinConfig)
+from repro.superpin import (ControlProcess, FaultKind, FaultPlan,
+                            FaultSpec, record_signatures, run_superpin,
+                            slice_deadline, SliceToolContext, SPControl,
+                            SuperPinConfig, supervise_slices)
 from repro.superpin.faults import (CORRUPT_BLOB, maybe_inject,
                                    WorkerCrashFault)
 from repro.tools import ICount2, ITrace
 from tests.conftest import MULTISLICE
 
-#: Both slice-phase execution modes; every supervision property must
-#: hold under each (sequential supervised and parallel supervised).
+#: Both places an attempt runs; every supervision property must hold
+#: under each (in-process and pool workers).
 WORKER_MODES = [0, 2]
+
+#: Three phases, each calling its own helper several times: slices
+#: after the first need code the first slice never ran, so a slice that
+#: cannot reuse its predecessors' lowerings visibly lowers more.
+SHARED_HELPERS = """
+.entry main
+main:
+    li   s0, 0
+    li   s1, 40
+pa: call fa
+    inc  s0
+    blt  s0, s1, pa
+    li   s0, 0
+pb: call fb
+    inc  s0
+    blt  s0, s1, pb
+    li   s0, 0
+pc: call fc
+    inc  s0
+    blt  s0, s1, pc
+    li   a0, SYS_EXIT
+    li   a1, 0
+    syscall
+fa: li   t0, 0
+    li   t1, 200
+la: addi t0, t0, 1
+    st   t0, 0x8000(t0)
+    blt  t0, t1, la
+    ret
+fb: li   t0, 0
+    li   t1, 200
+lb: addi t0, t0, 3
+    st   t0, 0x9000(t0)
+    blt  t0, t1, lb
+    ret
+fc: li   t0, 0
+    li   t1, 200
+lc: addi t0, t0, 2
+    xor  t2, t2, t0
+    blt  t0, t1, lc
+    ret
+"""
+
+#: Syscall-free: a slice whose end signature never matches runs into
+#: its instruction budget (RunawaySliceError) instead of diverging.
+REGISTER_LOOP = """
+.entry main
+main:
+    li   t0, 0
+    li   t1, 50000
+lp: addi t0, t0, 1
+    st   t0, 0x8000(t1)
+    blt  t0, t1, lp
+    li   a0, SYS_EXIT
+    li   a1, 0
+    syscall
+"""
 
 
 def _clean_report(program, tool_cls=ICount2, **kwargs):
@@ -242,14 +302,49 @@ class TestDegrade:
         assert tool.total == clean_tool.total
 
 
+def _sabotage_end_signature(monkeypatch, boundary_index: int) -> None:
+    """Corrupt t0 in boundary ``boundary_index``'s recorded signature,
+    so the slice ending there never matches: a genuine failure, no
+    fault plan involved."""
+    from repro.superpin import parallel as parallel_mod
+    original = parallel_mod.record_boundary_signature
+
+    def sabotaged(boundary, config):
+        signature = original(boundary, config)
+        if boundary.index != boundary_index:
+            return signature
+        regs = list(signature.regs)
+        regs[8] ^= 0xDEAD
+        return dataclasses.replace(signature, regs=tuple(regs))
+    monkeypatch.setattr(parallel_mod, "record_boundary_signature",
+                        sabotaged)
+
+
 class TestFailFast:
-    @pytest.mark.parametrize("spworkers", WORKER_MODES)
-    def test_aborts_on_first_failure(self, program, spworkers):
+    """The ladder of length one: one attempt, no retry, and the slice's
+    own exception as the cause of the ``SliceExecutionError``."""
+
+    @staticmethod
+    def _aborts(program, plan, spworkers):
         with pytest.raises(SliceExecutionError) as info:
-            _supervised_report(program, FaultPlan.parse("runaway@1:*"),
-                               spworkers=spworkers, spfaults="failfast")
+            _supervised_report(program, plan, spworkers=spworkers,
+                               spfaults="failfast")
         assert info.value.index == 1
         assert len(info.value.attempts) == 1
+        return info.value.__cause__
+
+    @pytest.mark.parametrize("spworkers", WORKER_MODES)
+    def test_aborts_on_first_failure(self, program, spworkers):
+        cause = self._aborts(program, FaultPlan.parse("runaway@1:*"),
+                             spworkers)
+        assert isinstance(cause, RunawaySliceError)
+
+    @pytest.mark.parametrize("spworkers", WORKER_MODES)
+    def test_aborts_on_genuine_failure_without_fault_plan(
+            self, program, spworkers, monkeypatch):
+        _sabotage_end_signature(monkeypatch, boundary_index=2)
+        cause = self._aborts(program, None, spworkers)
+        assert isinstance(cause, (RunawaySliceError, DivergenceError))
 
 
 class TestDeadlineReaping:
@@ -337,3 +432,87 @@ class TestSupervisionSummary:
         assert summary["failed_attempts"] == 0
         assert summary["recovered_slices"] == 0
         assert summary["degraded_slices"] == 0
+
+
+class TestInprocessAttemptsShareTheLiveCache:
+    """Every policy runs ``-spworkers 0`` slices on the live objects, so
+    retry, degrade and a journal lower exactly what failfast lowers."""
+
+    @staticmethod
+    def _run(tmp_path, **kwargs):
+        program = assemble(SHARED_HELPERS)
+        tool = ICount2()
+        config = SuperPinConfig(spmsec=500, clock_hz=10_000, spworkers=0,
+                                spmetrics=True, **kwargs)
+        report = run_superpin(program, tool, config, kernel=Kernel(seed=42))
+        return report, tool
+
+    @pytest.mark.parametrize("variant", ["retry", "degrade", "journal"])
+    def test_lowers_as_much_as_failfast(self, tmp_path, variant):
+        base, base_tool = self._run(tmp_path, spfaults="failfast")
+        kwargs = {"spfaults": variant}
+        if variant == "journal":
+            kwargs = {"spfaults": "failfast",
+                      "spjournal": str(tmp_path / "run.spjl")}
+        report, tool = self._run(tmp_path, **kwargs)
+        lowered = report.metrics.counters["pin.jit.lowered_ins"]
+        assert lowered == base.metrics.counters["pin.jit.lowered_ins"]
+        assert base.num_slices >= 4
+        assert tool.total == base_tool.total
+        assert report.stdout == base.stdout
+        assert _slice_fingerprint(report) == _slice_fingerprint(base)
+        assert report.timing.total_cycles == base.timing.total_cycles
+
+
+def _pages(timeline):
+    """The page objects (by identity) and freeze set of every boundary."""
+    return [({index: id(page) for index, page
+              in boundary.mem_fork._pages.items()},
+             set(boundary.mem_fork._frozen))
+            for boundary in timeline.boundaries]
+
+
+class TestBoundarySnapshotsUntouched:
+    """In-process attempts run on a scratch fork: after the slice phase
+    every boundary snapshot holds the very pages it held before, so any
+    slice can be re-run from its true boundary state."""
+
+    @staticmethod
+    def _phase(program, config, sabotage=None):
+        sp = SPControl(config)
+        tool = ICount2()
+        tool.setup(sp)
+        template = SliceToolContext.from_control(tool, sp)
+        timeline = ControlProcess(program, config,
+                                  kernel=Kernel(seed=42)).run()
+        signatures = record_signatures(timeline, config)
+        if sabotage is not None:
+            regs = list(signatures[sabotage].regs)
+            regs[8] ^= 0xDEAD  # corrupt t0's recorded value
+            signatures[sabotage] = dataclasses.replace(
+                signatures[sabotage], regs=tuple(regs))
+        before = _pages(timeline)
+        supervised = supervise_slices(timeline, signatures, template, sp,
+                                      config)
+        return supervised, before, _pages(timeline)
+
+    def test_clean_failfast_run(self, program):
+        config = SuperPinConfig(spmsec=500, clock_hz=10_000, spworkers=0,
+                                spfaults="failfast")
+        supervised, before, after = self._phase(program, config)
+        assert sum(r.cow_faults for r in supervised.results) > 0
+        assert after == before
+
+    def test_truly_runaway_slice_under_degrade(self):
+        program = assemble(REGISTER_LOOP)
+        config = SuperPinConfig(spmsec=1000, clock_hz=10_000, spworkers=0,
+                                spfaults="degrade", spretries=1,
+                                slice_retry_backoff=0.0)
+        supervised, before, after = self._phase(program, config,
+                                                sabotage=1)
+        assert supervised.degraded == [1]
+        attempts = supervised.outcomes[1].attempts
+        assert len(attempts) == 3
+        assert len({a.error for a in attempts}) == 1
+        assert "without detecting its signature" in attempts[0].error
+        assert after == before

@@ -27,7 +27,7 @@ from repro.machine import Kernel, load_program
 from repro.pin import PinVM, RunState
 from repro.pin.template import TemplateCache, TraceTemplate
 from repro.superpin import (FaultPlan, run_superpin, SuperPinConfig)
-from repro.superpin import parallel
+from repro.superpin import supervisor
 from repro.superpin.sharedcache import (export_templates, TemplatePayload,
                                         TemplateStore)
 from repro.superpin.slices import SliceResult
@@ -332,7 +332,7 @@ class TestFreedByRefcount:
             engines.append(weakref.ref(vm))
             original_close(vm)
 
-        original_run_slice = parallel.run_slice
+        original_run_slice = supervisor.run_slice
         leaked = []
 
         def run_slice(*args, **kwargs):
@@ -341,11 +341,13 @@ class TestFreedByRefcount:
             return result
 
         monkeypatch.setattr(PinVM, "close", close)
-        monkeypatch.setattr(parallel, "run_slice", run_slice)
+        monkeypatch.setattr(supervisor, "run_slice", run_slice)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            report, _ = _report(program, jit_backend=backend, sptc2=4)
+            # In-process: the engines must be observable from here.
+            report, _ = _report(program, jit_backend=backend, sptc2=4,
+                                spworkers=0)
         finally:
             if enabled:
                 gc.enable()
